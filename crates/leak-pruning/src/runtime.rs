@@ -95,6 +95,11 @@ pub struct Runtime {
     collector: Collector,
     pruner: Pruner,
     history: Vec<GcRecord>,
+    /// Collections in `history` that pruned at least one reference, and the
+    /// references they pruned — running totals, so a host reporting them
+    /// every round does not walk a history that only grows.
+    prune_events: u64,
+    pruned_refs: u64,
     counters: MutatorCounters,
     finalizer_hook: Option<Box<dyn FnMut(ClassId) + Send>>,
     /// Bytes allocated since the last collection — one measure of mutator
@@ -189,6 +194,8 @@ impl Runtime {
             roots: RootSet::new(),
             collector,
             history: Vec::new(),
+            prune_events: 0,
+            pruned_refs: 0,
             counters: MutatorCounters::default(),
             finalizer_hook: None,
             bytes_since_gc: 0,
@@ -557,7 +564,7 @@ impl Runtime {
             return;
         };
         self.dispatch_finalizers(finalized);
-        self.history.push(record.clone());
+        self.push_history(record.clone());
         self.used_at_last_full = self.heap.used_bytes();
         self.emit_collection_events(&record);
         // The terminal Collection/CounterDelta events above belong to the
@@ -945,7 +952,7 @@ impl Runtime {
             mutator_ran,
         );
         self.dispatch_finalizers(finalized);
-        self.history.push(record.clone());
+        self.push_history(record.clone());
         self.used_at_last_full = self.heap.used_bytes();
         self.emit_collection_events(&record);
         if let Some(period) = self.config.verify_period() {
@@ -1277,6 +1284,21 @@ impl Runtime {
         &self.history
     }
 
+    /// `(collections that pruned at least one reference, references
+    /// pruned)` over the whole [`history`](Runtime::history), in O(1).
+    pub fn prune_totals(&self) -> (u64, u64) {
+        (self.prune_events, self.pruned_refs)
+    }
+
+    /// Appends `record` to the history and folds it into the prune totals.
+    fn push_history(&mut self, record: GcRecord) {
+        if record.pruned_refs > 0 {
+            self.prune_events += 1;
+            self.pruned_refs += record.pruned_refs;
+        }
+        self.history.push(record);
+    }
+
     /// Collector timing statistics.
     pub fn gc_stats(&self) -> &GcStats {
         self.collector.stats()
@@ -1537,26 +1559,25 @@ impl Runtime {
         rt.reads_since_gc = image.reads_since_gc;
         rt.used_at_last_full = image.used_at_last_full;
         rt.incremental_armed = image.incremental_armed;
-        rt.history = image
-            .history
-            .iter()
-            .map(|record| {
-                Ok(GcRecord {
-                    gc_index: record.gc_index,
-                    state: State::from_name(&record.state)
-                        .ok_or_else(|| RestoreImageError::BadState(record.state.clone()))?,
-                    live_bytes_after: record.live_bytes_after,
-                    live_objects_after: record.live_objects_after,
-                    freed_bytes: record.freed_bytes,
-                    freed_objects: record.freed_objects,
-                    pruned_refs: record.pruned_refs,
-                    selected: record.selected.as_ref().map(|s| s.to_info()),
-                    mark_time: std::time::Duration::from_nanos(record.mark_nanos),
-                    sweep_time: std::time::Duration::from_nanos(record.sweep_nanos),
-                    flush_time: record.flush_nanos.map(std::time::Duration::from_nanos),
-                })
-            })
-            .collect::<Result<Vec<_>, RestoreImageError>>()?;
+        // Pushed one by one so the prune totals are rebuilt from the same
+        // records the history holds.
+        rt.history.reserve(image.history.len());
+        for record in &image.history {
+            rt.push_history(GcRecord {
+                gc_index: record.gc_index,
+                state: State::from_name(&record.state)
+                    .ok_or_else(|| RestoreImageError::BadState(record.state.clone()))?,
+                live_bytes_after: record.live_bytes_after,
+                live_objects_after: record.live_objects_after,
+                freed_bytes: record.freed_bytes,
+                freed_objects: record.freed_objects,
+                pruned_refs: record.pruned_refs,
+                selected: record.selected.as_ref().map(|s| s.to_info()),
+                mark_time: std::time::Duration::from_nanos(record.mark_nanos),
+                sweep_time: std::time::Duration::from_nanos(record.sweep_nanos),
+                flush_time: record.flush_nanos.map(std::time::Duration::from_nanos),
+            });
+        }
 
         // The restore event is a liveness proof: it goes out only once the
         // full invariant sanitizer has passed on the materialized heap.
@@ -1817,6 +1838,18 @@ mod tests {
         assert_eq!(restored.used_bytes(), rt.used_bytes());
         assert_eq!(restored.state(), rt.state());
         assert_eq!(restored.history().len(), rt.history().len());
+        // The running totals are the history walk they replaced, on the
+        // runtime that collected and on the one rebuilt from its image.
+        let walked = rt
+            .history()
+            .iter()
+            .filter(|record| record.pruned_refs > 0)
+            .fold((0, 0), |(events, refs), record| {
+                (events + 1, refs + record.pruned_refs)
+            });
+        assert!(walked.0 > 0);
+        assert_eq!(rt.prune_totals(), walked);
+        assert_eq!(restored.prune_totals(), walked);
         assert_eq!(
             restored.averted_oom().map(|e| e.gc_index()),
             rt.averted_oom().map(|e| e.gc_index())

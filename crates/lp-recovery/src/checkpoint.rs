@@ -201,7 +201,7 @@ impl Checkpoint {
             snapshot: capture.snapshot,
             image,
         };
-        let lines = checkpoint.to_jsonl().lines().count() as u64;
+        let lines = checkpoint.line_count();
         telemetry.emit(|| Event::CheckpointEnd {
             gc_index,
             lines,
@@ -231,6 +231,19 @@ impl Checkpoint {
             });
         }
         Ok(Runtime::restore_from(config, &self.image)?)
+    }
+
+    /// Lines [`Checkpoint::to_jsonl`] renders, from the section sizes
+    /// alone: rendering the file to count them costs more than the rest of
+    /// a capture.
+    fn line_count(&self) -> u64 {
+        // Header, the two snapshot markers, the snapshot's own header,
+        // classes, heap, free, young, remembered, roots, counters, runtime,
+        // pruner and trailer: one line each.
+        const FIXED_LINES: u64 = 14;
+        FIXED_LINES
+            + self.snapshot.object_count()
+            + (self.image.heap.slots.len() + self.image.history.len()) as u64
     }
 
     /// Serializes the checkpoint to its JSONL file format (see the
@@ -531,6 +544,10 @@ impl Checkpoint {
         let mut history: Vec<GcRecordImage> = Vec::new();
         let mut trailer: Option<u64> = None;
 
+        // The two marker lines are recognised by their text (as `to_jsonl`
+        // renders them), so the snapshot lines between them — most of the
+        // file — are parsed once, by `HeapSnapshot::parse`, not here too.
+        let (snapshot_begin, snapshot_end) = (marker("snapshot_begin"), marker("snapshot_end"));
         let mut in_snapshot = false;
         let mut snapshot_buf = String::new();
         for &(line_no, raw) in &lines[1..] {
@@ -540,29 +557,30 @@ impl Checkpoint {
                     reason: "content after the trailer".to_owned(),
                 });
             }
-            let value = json::parse(raw).map_err(|e| CheckpointError::Line {
-                line: line_no,
-                reason: e.to_string(),
-            })?;
-            let kind = value.get("k").and_then(JsonValue::as_str);
             if in_snapshot {
-                if kind == Some("snapshot_end") {
+                if raw.trim() == snapshot_end {
                     in_snapshot = false;
                     snapshot_text = Some(std::mem::take(&mut snapshot_buf));
                 } else {
-                    // Snapshot lines have no "k" key; pass them through
-                    // verbatim to the snapshot parser.
                     snapshot_buf.push_str(raw);
                     snapshot_buf.push('\n');
                 }
                 continue;
             }
+            if raw.trim() == snapshot_begin {
+                in_snapshot = true;
+                continue;
+            }
+            let value = json::parse(raw).map_err(|e| CheckpointError::Line {
+                line: line_no,
+                reason: e.to_string(),
+            })?;
+            let kind = value.get("k").and_then(JsonValue::as_str);
             let at = |reason: String| CheckpointError::Line {
                 line: line_no,
                 reason,
             };
             match kind {
-                Some("snapshot_begin") => in_snapshot = true,
                 Some("classes") => {
                     let names = need_arr(&value, "names").map_err(at)?;
                     classes = Some(
@@ -1138,6 +1156,32 @@ mod tests {
         assert!(matches!(
             Checkpoint::parse(&spliced.join("\n")).unwrap_err(),
             CheckpointError::Truncated { .. }
+        ));
+    }
+
+    #[test]
+    fn garbled_lines_are_refused_by_the_parser_that_owns_them() {
+        let mut rt = pruned_runtime(300);
+        let text = Checkpoint::capture(&mut rt, 300).to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        let garble = |index: usize| {
+            let mut garbled = lines.clone();
+            garbled[index] = "{\"id\": 1, \"class\"";
+            Checkpoint::parse(&garbled.join("\n")).unwrap_err()
+        };
+        // Line 4 is the first object of the embedded snapshot: its lines
+        // are handed through to the snapshot parser unparsed, and it is the
+        // one that refuses them.
+        assert!(lines[1].contains("snapshot_begin") && !lines[3].contains("snapshot_end"));
+        assert!(matches!(garble(3), CheckpointError::Snapshot(_)));
+        // A restore line is still this parser's to refuse, by line number.
+        let classes = lines
+            .iter()
+            .position(|l| l.contains("\"classes\"") && l.contains("\"k\""))
+            .expect("classes line");
+        assert!(matches!(
+            garble(classes),
+            CheckpointError::Line { line, .. } if line == classes + 1
         ));
     }
 

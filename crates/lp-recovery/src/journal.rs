@@ -1,12 +1,22 @@
 //! The per-tenant request journal: an append-only, write-ahead JSONL log.
 //!
-//! One line per served request, written and (periodically) fsynced *before*
-//! the request runs — so after a crash the journal is a superset of the
-//! requests whose effects reached the heap, never a subset. Replaying the
+//! One line per served request, appended *before* the request runs and on
+//! file before anything the request did can be seen outside the worker
+//! that served it — so after a crash the journal is a superset of the
+//! requests whose effects were ever visible, never a subset. Replaying the
 //! journal suffix past a checkpoint's watermark therefore reconstructs the
 //! pre-crash state exactly; re-serving a request whose effects were lost
 //! with the dirty heap is safe because service handlers are deterministic
 //! functions of `(state, seq)`.
+//!
+//! Appends are group-committed: [`Journal::append`] formats the entry into
+//! a bounded in-memory buffer, and the buffer reaches the file in one
+//! `write` at [`Journal::flush`] (the owner calls it at its commit point —
+//! a tenant worker at the round barrier, before its report leaves), at
+//! every fsync point, when the buffer fills, and on drop. A `kill -9`
+//! between commit points loses only entries whose requests nobody outside
+//! the process has seen; what is on file is always an intact prefix plus at
+//! most one torn line.
 //!
 //! The format is two line shapes:
 //!
@@ -31,6 +41,11 @@ use lp_telemetry::json::{self, JsonValue};
 /// Current journal format version.
 pub const JOURNAL_VERSION: u64 = 1;
 
+/// Bytes of formatted entries the buffer may hold before it is written out
+/// regardless of commit points (a bound on memory, not a tuning knob: a
+/// round's worth of entries is a few kilobytes).
+const BUFFER_BYTES: usize = 64 * 1024;
+
 /// Append-side handle to a tenant's journal.
 #[derive(Debug)]
 pub struct Journal {
@@ -38,6 +53,8 @@ pub struct Journal {
     next_seq: u64,
     fsync_every: u64,
     unsynced: u64,
+    /// Entries appended but not yet handed to the file.
+    buffer: Vec<u8>,
 }
 
 impl Journal {
@@ -61,6 +78,7 @@ impl Journal {
             next_seq: 1,
             fsync_every: 1,
             unsynced: 0,
+            buffer: Vec::new(),
         })
     }
 
@@ -87,6 +105,7 @@ impl Journal {
             next_seq: read.entries + 1,
             fsync_every: 1,
             unsynced: 0,
+            buffer: Vec::new(),
         };
         use std::io::Seek as _;
         journal
@@ -96,44 +115,62 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Sets the fsync cadence: the file is fsynced after every `n` appends
-    /// (and always on [`Journal::sync`]). `n = 1` (the default) makes every
-    /// entry durable before its request is served; larger `n` trades the
-    /// last `n - 1` requests' durability for throughput. `n = 0` is treated
-    /// as 1.
+    /// Sets the fsync cadence: the file is written and fsynced after every
+    /// `n` appends (and always on [`Journal::sync`]). `n = 1` (the default)
+    /// makes every entry durable before its request is served; larger `n`
+    /// bounds what a *machine* crash can lose to the last `n - 1` entries
+    /// that reached the file plus whatever was appended since the last
+    /// [`Journal::flush`]. `n = 0` is treated as 1.
     pub fn set_fsync_every(&mut self, n: u64) {
         self.fsync_every = n.max(1);
     }
 
     /// Appends the next entry — write-ahead, so call this *before* serving
-    /// the request — and returns its sequence number.
+    /// the request — and returns its sequence number. The entry is on file
+    /// once the next [`Journal::flush`] or fsync point returns.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; on error the entry must be considered
-    /// not durable and the request must not be served.
+    /// Propagates filesystem errors from an fsync point or a full buffer; on
+    /// error the entry must be considered not durable and the request must
+    /// not be served.
     pub fn append(&mut self) -> std::io::Result<u64> {
         let seq = self.next_seq;
-        let line = JsonValue::Obj(vec![
-            ("k".to_owned(), JsonValue::Str("req".to_owned())),
-            ("seq".to_owned(), JsonValue::from_u64(seq)),
-        ]);
-        self.file.write_all(format!("{line}\n").as_bytes())?;
+        // The line `JsonValue::Obj` would render, without building one.
+        writeln!(self.buffer, "{{\"k\": \"req\", \"seq\": {seq}}}")?;
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
-            self.file.sync_all()?;
-            self.unsynced = 0;
+            self.sync()?;
+        } else if self.buffer.len() >= BUFFER_BYTES {
+            self.flush()?;
         }
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Forces an fsync of everything appended so far.
+    /// Hands every buffered entry to the file in one `write` — the commit
+    /// point of a group of appends. Nothing an appended request did may
+    /// leave its owner before this returns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; the journal must then be considered
+    /// failed (the file may hold part of the buffer).
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if !self.buffer.is_empty() {
+            self.file.write_all(&self.buffer)?;
+            self.buffer.clear();
+        }
+        Ok(())
+    }
+
+    /// Flushes and forces an fsync of everything appended so far.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn sync(&mut self) -> std::io::Result<()> {
+        self.flush()?;
         self.file.sync_all()?;
         self.unsynced = 0;
         Ok(())
@@ -142,6 +179,14 @@ impl Journal {
     /// The last sequence number appended (0 if none yet).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        // An orderly exit keeps what was appended; errors have nowhere to
+        // go here, and callers that need them call `flush` first.
+        let _ = self.flush();
     }
 }
 

@@ -23,7 +23,9 @@
 //!    first), and — crucially — *without collecting*: a run that checkpoints
 //!    is observationally identical to one that never did.
 //! 2. A [`Journal`]: an append-only, write-ahead log of request sequence
-//!    numbers, fsynced every `n` appends. The checkpoint's `watermark`
+//!    numbers, group-committed (appends gather in a bounded buffer that
+//!    reaches the file in one write at the owner's commit point) and
+//!    fsynced every `n` appends. The checkpoint's `watermark`
 //!    records how many journal entries the image reflects; recovery restores
 //!    the image and replays the journal suffix past the watermark through
 //!    the same deterministic service code, reproducing the pre-crash state

@@ -4,12 +4,14 @@
 //! don't fit — or that target a quarantined tenant — are shed
 //! immediately with a typed [`RejectReason`] instead of growing an
 //! unbounded backlog, so one leaky tenant's latency never propagates to
-//! the host. [`TenantCounters`] are plain atomics shared with the ops
-//! plane, so `/tenants` and `/metrics` read live values without stopping
-//! the round loop.
+//! the host. A queued request carries no data, so the queue *is* its
+//! [`TenantCounters`]: `admitted − taken` requests are waiting, admission
+//! is a compare-and-swap on `admitted` against the capacity, and the
+//! worker dequeues by advancing `taken` at the round barrier. The counters
+//! are plain atomics shared with the ops plane, so `/tenants` and
+//! `/metrics` read live values without stopping the round loop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 
 /// Why an arrival was shed instead of admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,18 +34,40 @@ impl RejectReason {
 
 /// Live admission counters for one tenant, shared between the round
 /// loop, the worker thread, and the ops plane.
-#[derive(Debug, Default)]
+///
+/// Every counter is `Relaxed`: each is a bare count that publishes no other
+/// memory, and the lockstep host orders its own reads behind the worker's
+/// report on the command channel.
+#[derive(Debug)]
 pub struct TenantCounters {
+    capacity: u64,
     admitted: AtomicU64,
+    taken: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_quarantined: AtomicU64,
     processed: AtomicU64,
 }
 
+/// How one batch of arrivals fared at admission.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Offered {
+    pub admitted: u64,
+    pub queue_full: u64,
+    pub quarantined: u64,
+}
+
 impl TenantCounters {
-    /// A zeroed counter block.
-    pub fn new() -> TenantCounters {
-        TenantCounters::default()
+    /// A zeroed counter block for a queue holding at most `capacity`
+    /// waiting requests.
+    pub fn new(capacity: usize) -> TenantCounters {
+        TenantCounters {
+            capacity: capacity as u64,
+            admitted: AtomicU64::new(0),
+            taken: AtomicU64::new(0),
+            shed_queue_full: AtomicU64::new(0),
+            shed_quarantined: AtomicU64::new(0),
+            processed: AtomicU64::new(0),
+        }
     }
 
     /// Requests accepted into the queue so far.
@@ -76,73 +100,134 @@ impl TenantCounters {
         self.admitted().saturating_sub(self.processed())
     }
 
-    pub(crate) fn note_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+    /// Offers `arrivals` requests at once. A quarantined tenant sheds them
+    /// all without touching the queue; otherwise as many as fit under the
+    /// capacity are admitted in one step and the rest shed as
+    /// [`RejectReason::QueueFull`]. Safe against concurrent offers (the
+    /// round loop and `POST /inject`): the queue never holds more than its
+    /// capacity.
+    pub(crate) fn offer(&self, arrivals: u64, quarantined: bool) -> Offered {
+        if arrivals == 0 {
+            // Most rounds of an idle or finished tenant: nothing to write.
+            return Offered::default();
+        }
+        if quarantined {
+            self.shed_quarantined.fetch_add(arrivals, Ordering::Relaxed);
+            return Offered {
+                quarantined: arrivals,
+                ..Offered::default()
+            };
+        }
+        let mut admitted = 0;
+        let _ = self
+            .admitted
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |so_far| {
+                let waiting = so_far.saturating_sub(self.taken.load(Ordering::Relaxed));
+                admitted = arrivals.min(self.capacity.saturating_sub(waiting));
+                Some(so_far + admitted)
+            });
+        let queue_full = arrivals - admitted;
+        if queue_full > 0 {
+            self.shed_queue_full
+                .fetch_add(queue_full, Ordering::Relaxed);
+        }
+        Offered {
+            admitted,
+            queue_full,
+            quarantined: 0,
+        }
     }
 
-    pub(crate) fn note_shed(&self, reason: RejectReason) {
-        match reason {
-            RejectReason::QueueFull => &self.shed_queue_full,
-            RejectReason::Quarantined => &self.shed_quarantined,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    /// Requests waiting in the queue: admitted and not yet dequeued.
+    pub(crate) fn waiting(&self) -> u64 {
+        self.admitted()
+            .saturating_sub(self.taken.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn note_processed(&self) {
-        self.processed.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Offers one arrival to `queue`, updating `counters`. Quarantined
-/// tenants shed without touching the queue. Returns the shed reason, or
-/// `None` when the request was admitted.
-pub(crate) fn offer(
-    queue: &SyncSender<()>,
-    counters: &TenantCounters,
-    quarantined: bool,
-) -> Option<RejectReason> {
-    if quarantined {
-        counters.note_shed(RejectReason::Quarantined);
-        return Some(RejectReason::Quarantined);
-    }
-    match queue.try_send(()) {
-        Ok(()) => {
-            counters.note_admitted();
-            None
-        }
-        Err(TrySendError::Full(())) | Err(TrySendError::Disconnected(())) => {
-            counters.note_shed(RejectReason::QueueFull);
-            Some(RejectReason::QueueFull)
-        }
+    /// Worker side, at the round barrier: `taken` requests left the queue
+    /// this round and `processed` of them completed.
+    pub(crate) fn note_round(&self, taken: u64, processed: u64) {
+        self.taken.fetch_add(taken, Ordering::Relaxed);
+        self.processed.fetch_add(processed, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
 
     #[test]
     fn offers_admit_until_the_queue_fills_then_shed() {
-        let (tx, _rx) = sync_channel(2);
-        let counters = TenantCounters::new();
-        assert_eq!(offer(&tx, &counters, false), None);
-        assert_eq!(offer(&tx, &counters, false), None);
-        assert_eq!(offer(&tx, &counters, false), Some(RejectReason::QueueFull));
+        let counters = TenantCounters::new(2);
+        assert_eq!(counters.offer(1, false).admitted, 1);
+        assert_eq!(counters.offer(1, false).admitted, 1);
+        assert_eq!(
+            counters.offer(1, false),
+            Offered {
+                queue_full: 1,
+                ..Offered::default()
+            }
+        );
         assert_eq!(counters.admitted(), 2);
         assert_eq!(counters.shed_queue_full(), 1);
         assert_eq!(counters.queue_depth(), 2);
     }
 
     #[test]
+    fn a_batch_is_split_at_the_capacity_and_dequeuing_frees_slots() {
+        let counters = TenantCounters::new(4);
+        let offered = counters.offer(6, false);
+        assert_eq!((offered.admitted, offered.queue_full), (4, 2));
+        assert_eq!(counters.waiting(), 4);
+        // Three dequeued, two of them completed (the third failed): three
+        // slots are free again, whatever became of the requests.
+        counters.note_round(3, 2);
+        assert_eq!(counters.waiting(), 1);
+        assert_eq!(counters.processed(), 2);
+        let offered = counters.offer(5, false);
+        assert_eq!((offered.admitted, offered.queue_full), (3, 2));
+        assert_eq!(counters.shed_queue_full(), 4);
+    }
+
+    #[test]
     fn quarantine_sheds_without_consuming_queue_space() {
-        let (tx, _rx) = sync_channel(1);
-        let counters = TenantCounters::new();
-        assert_eq!(offer(&tx, &counters, true), Some(RejectReason::Quarantined));
+        let counters = TenantCounters::new(1);
+        assert_eq!(counters.offer(1, true).quarantined, 1);
         assert_eq!(counters.admitted(), 0);
         assert_eq!(counters.shed_quarantined(), 1);
         // The slot is still free for when quarantine lifts.
-        assert_eq!(offer(&tx, &counters, false), None);
+        assert_eq!(counters.offer(1, false).admitted, 1);
+    }
+
+    #[test]
+    fn concurrent_offers_never_overfill_the_queue() {
+        const CAPACITY: usize = 1000;
+        const THREADS: u64 = 4;
+        const OFFERS: u64 = 600;
+        let counters = TenantCounters::new(CAPACITY);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let admitted: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (counters, start) = (&counters, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Singles and small batches interleaved.
+                        (0..OFFERS / (thread + 1))
+                            .map(|_| counters.offer(thread + 1, false).admitted)
+                            .sum::<u64>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("offer thread"))
+                .sum()
+        });
+        assert_eq!(admitted, CAPACITY as u64, "admitted exactly the capacity");
+        assert_eq!(counters.admitted(), CAPACITY as u64);
+        let offered: u64 = (0..THREADS).map(|t| OFFERS / (t + 1) * (t + 1)).sum();
+        assert_eq!(counters.shed_queue_full(), offered - CAPACITY as u64);
     }
 
     #[test]

@@ -146,8 +146,10 @@ impl TenantSpec {
     }
 
     /// Journal durability knob: fsync the write-ahead journal every `n`
-    /// appends (default 1, every request). Raising it trades the last
-    /// few admitted requests on a crash for throughput.
+    /// appends (default 1, every request). A round's entries reach the
+    /// file at the round barrier whatever `n` is, so a killed *process*
+    /// loses nothing anyone has seen; raising `n` trades the last few
+    /// requests on a *machine* crash for throughput.
     pub fn fsync_every(mut self, n: u64) -> TenantSpec {
         self.fsync_every = n.max(1);
         self

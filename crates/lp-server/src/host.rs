@@ -3,8 +3,9 @@
 //! A round has four phases, each deterministic given the seed:
 //!
 //! 1. **Admission** — the open-loop generator offers each tenant its
-//!    arrivals for the round; arrivals are admitted to the bounded queue
-//!    or shed (emitting `TenantAdmit` / `TenantShed` events).
+//!    arrivals for the round in one step; arrivals are admitted to the
+//!    bounded queue or shed (emitting `TenantAdmit` / `TenantShed`
+//!    events).
 //! 2. **Service** — every worker is told to serve up to its service
 //!    rate (zero while quarantined); the host waits for every report,
 //!    making the round a barrier.
@@ -23,7 +24,7 @@ use std::time::Duration;
 use lp_telemetry::json::JsonValue;
 use lp_telemetry::{Event, Telemetry};
 
-use crate::admission::{offer, RejectReason};
+use crate::admission::Offered;
 use crate::arbiter::{Arbiter, ArbiterPolicy, TenantControl, TenantView};
 use crate::config::{HostConfig, TenantSpec};
 use crate::loadgen;
@@ -186,7 +187,7 @@ impl Host {
                     w.requests.clone(),
                     w.series.clone(),
                     Arc::clone(&w.used_bytes),
-                    w.queue.clone(),
+                    w.notes.clone(),
                 )
             })
             .collect();
@@ -285,16 +286,11 @@ impl Host {
                 arrivals = arrivals.min(total.saturating_sub(w.offered));
             }
             w.offered += arrivals;
-            let mut admitted = 0u64;
-            let mut queue_full = 0u64;
-            let mut quarantined = 0u64;
-            for _ in 0..arrivals {
-                match offer(&w.queue, &w.counters, w.quarantined) {
-                    None => admitted += 1,
-                    Some(RejectReason::QueueFull) => queue_full += 1,
-                    Some(RejectReason::Quarantined) => quarantined += 1,
-                }
-            }
+            let Offered {
+                admitted,
+                queue_full,
+                quarantined,
+            } = w.counters.offer(arrivals, w.quarantined);
             let tenant = &w.name;
             if admitted > 0 {
                 self.telemetry.emit(|| Event::TenantAdmit {
@@ -334,11 +330,7 @@ impl Host {
             let service_span = self.telemetry.span("service", index as u64);
             match w.wait() {
                 Some(report) => processed_this_round += report.processed,
-                None => {
-                    if w.failed.is_none() {
-                        w.failed = Some("worker thread lost".into());
-                    }
-                }
+                None => w.note_lost(),
             }
             drop(service_span);
             w.update_finished();
@@ -458,7 +450,7 @@ impl Host {
             .aggregate_bytes
             .store(self.aggregate_bytes(), Ordering::Relaxed);
         for (w, ops) in self.workers.iter().zip(&self.ops_state.tenants) {
-            let state = if w.failed.is_some() {
+            let state = if w.failed {
                 TenantState::Failed
             } else if w.finished {
                 TenantState::Finished
@@ -469,15 +461,8 @@ impl Host {
             };
             ops.set_state(state);
             ops.set_prune_events(w.last_report.prune_events);
-            ops.set_postmortems(
-                w.last_report.postmortem_count,
-                w.last_report.postmortem_path.clone(),
-            );
-            ops.set_recovery(
-                w.last_report.replayed,
-                w.last_report.last_checkpoint.clone(),
-                w.last_report.restored_from.clone(),
-            );
+            ops.set_postmortems(w.last_report.postmortem_count);
+            ops.set_replayed(w.last_report.replayed);
         }
     }
 

@@ -30,21 +30,22 @@
 //!
 //! The server is deliberately minimal: one accept loop, blocking reads
 //! with a timeout, `Connection: close` on every response. It shares
-//! state with the round loop only through atomics and
-//! [`PrometheusSink`] handles, so scrapes never stall a round.
+//! state with the round loop only through atomics, [`PrometheusSink`]
+//! handles and each tenant's rarely-written notes, so scrapes never stall
+//! a round.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lp_telemetry::json::JsonValue;
 use lp_telemetry::{escape_label_value, PauseHistogram, PrometheusSink, TimeSeries};
 
-use crate::admission::{offer, RejectReason, TenantCounters};
+use crate::admission::{RejectReason, TenantCounters};
+use crate::tenant::SharedNotes;
 
 /// Tenant lifecycle states as exposed on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,15 +99,13 @@ pub(crate) struct TenantOps {
     pub requests: PauseHistogram,
     pub series: TimeSeries,
     pub used_bytes: Arc<AtomicU64>,
-    pub queue: SyncSender<()>,
+    /// The tenant's file paths, written by its worker as they change.
+    pub notes: SharedNotes,
     state: AtomicU8,
     prune_events: AtomicU64,
     postmortems: AtomicU64,
-    last_postmortem: Mutex<Option<String>>,
     postmortem_requested: AtomicBool,
     replayed: AtomicU64,
-    last_checkpoint: Mutex<Option<String>>,
-    restored_from: Mutex<Option<String>>,
     checkpoint_requested: AtomicBool,
     migrate_requested: AtomicBool,
 }
@@ -121,7 +120,7 @@ impl TenantOps {
         requests: PauseHistogram,
         series: TimeSeries,
         used_bytes: Arc<AtomicU64>,
-        queue: SyncSender<()>,
+        notes: SharedNotes,
     ) -> TenantOps {
         TenantOps {
             name,
@@ -131,15 +130,12 @@ impl TenantOps {
             requests,
             series,
             used_bytes,
-            queue,
+            notes,
             state: AtomicU8::new(TenantState::Running.code()),
             prune_events: AtomicU64::new(0),
             postmortems: AtomicU64::new(0),
-            last_postmortem: Mutex::new(None),
             postmortem_requested: AtomicBool::new(false),
             replayed: AtomicU64::new(0),
-            last_checkpoint: Mutex::new(None),
-            restored_from: Mutex::new(None),
             checkpoint_requested: AtomicBool::new(false),
             migrate_requested: AtomicBool::new(false),
         }
@@ -161,15 +157,10 @@ impl TenantOps {
         self.prune_events.store(events, Ordering::Relaxed);
     }
 
-    /// Publishes the tenant's postmortem tally (cumulative count and
-    /// latest bundle path) from the worker's last report.
-    pub fn set_postmortems(&self, count: u64, path: Option<String>) {
+    /// Publishes the tenant's cumulative postmortem count from the
+    /// worker's last report.
+    pub fn set_postmortems(&self, count: u64) {
         self.postmortems.store(count, Ordering::Relaxed);
-        if path.is_some() {
-            if let Ok(mut last) = self.last_postmortem.lock() {
-                *last = path;
-            }
-        }
     }
 
     pub fn postmortem_count(&self) -> u64 {
@@ -177,10 +168,7 @@ impl TenantOps {
     }
 
     pub fn last_postmortem_path(&self) -> Option<String> {
-        self.last_postmortem
-            .lock()
-            .ok()
-            .and_then(|last| last.clone())
+        self.notes.lock().postmortem_path.clone()
     }
 
     /// Arms the operator-requested postmortem flag (`POST /postmortem`);
@@ -194,27 +182,9 @@ impl TenantOps {
         self.postmortem_requested.swap(false, Ordering::Relaxed)
     }
 
-    /// Publishes the tenant's recovery tally from the worker's last
-    /// report: boot-replay count, latest checkpoint path, and the
-    /// checkpoint this runtime was restored from (if any). Paths stick
-    /// once known, like the postmortem path.
-    pub fn set_recovery(
-        &self,
-        replayed: u64,
-        last_checkpoint: Option<String>,
-        restored_from: Option<String>,
-    ) {
+    /// Publishes the boot-replay count from the worker's last report.
+    pub fn set_replayed(&self, replayed: u64) {
         self.replayed.store(replayed, Ordering::Relaxed);
-        if last_checkpoint.is_some() {
-            if let Ok(mut last) = self.last_checkpoint.lock() {
-                *last = last_checkpoint;
-            }
-        }
-        if restored_from.is_some() {
-            if let Ok(mut from) = self.restored_from.lock() {
-                *from = restored_from;
-            }
-        }
     }
 
     pub fn replayed(&self) -> u64 {
@@ -222,11 +192,11 @@ impl TenantOps {
     }
 
     pub fn last_checkpoint_path(&self) -> Option<String> {
-        self.last_checkpoint.lock().ok().and_then(|p| p.clone())
+        self.notes.lock().last_checkpoint.clone()
     }
 
     pub fn restored_from_path(&self) -> Option<String> {
-        self.restored_from.lock().ok().and_then(|p| p.clone())
+        self.notes.lock().restored_from.clone()
     }
 
     /// Arms the operator-requested checkpoint flag (`POST /checkpoint`);
@@ -616,16 +586,9 @@ impl OpsState {
     /// Returns `(admitted, shed)` or `None` for an unknown tenant.
     fn inject(&self, name: &str, n: u64) -> Option<(u64, u64)> {
         let tenant = self.tenants.iter().find(|t| t.name == name)?;
-        let mut admitted = 0;
-        let mut shed = 0;
-        for _ in 0..n {
-            let quarantined = tenant.state() == TenantState::Quarantined;
-            match offer(&tenant.queue, &tenant.counters, quarantined) {
-                None => admitted += 1,
-                Some(_) => shed += 1,
-            }
-        }
-        Some((admitted, shed))
+        let quarantined = tenant.state() == TenantState::Quarantined;
+        let offered = tenant.counters.offer(n, quarantined);
+        Some((offered.admitted, offered.queue_full + offered.quarantined))
     }
 }
 
@@ -833,22 +796,17 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<OpsState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
 
     fn test_state() -> Arc<OpsState> {
-        let (tx, rx) = sync_channel::<()>(4);
-        // Keep the receiver alive so the queue stays connected; the test
-        // only exercises the sender side.
-        std::mem::forget(rx);
         let tenant = TenantOps::new(
             "alpha".into(),
-            Arc::new(TenantCounters::new()),
+            Arc::new(TenantCounters::new(4)),
             PrometheusSink::new(),
             PauseHistogram::new(),
             PauseHistogram::new(),
             TimeSeries::new(Duration::from_millis(25), 16),
             Arc::new(AtomicU64::new(1234)),
-            tx,
+            SharedNotes::default(),
         );
         Arc::new(OpsState {
             shutdown: AtomicBool::new(false),
@@ -927,7 +885,8 @@ mod tests {
     #[test]
     fn postmortem_tally_round_trips_through_json() {
         let state = test_state();
-        state.tenants[0].set_postmortems(2, Some("/tmp/postmortem-latest.jsonl".into()));
+        state.tenants[0].set_postmortems(2);
+        state.tenants[0].notes.lock().postmortem_path = Some("/tmp/postmortem-latest.jsonl".into());
         let parsed = lp_telemetry::json::parse(&state.postmortems_json()).unwrap();
         let tenants = parsed.get("tenants").unwrap().as_arr().unwrap();
         assert_eq!(tenants[0].get("name").unwrap().as_str(), Some("alpha"));
@@ -936,8 +895,8 @@ mod tests {
             tenants[0].get("path").unwrap().as_str(),
             Some("/tmp/postmortem-latest.jsonl")
         );
-        // A later report with no bundle keeps the last known path.
-        state.tenants[0].set_postmortems(2, None);
+        // A later report changes the count, never the path.
+        state.tenants[0].set_postmortems(3);
         assert_eq!(
             state.tenants[0].last_postmortem_path().as_deref(),
             Some("/tmp/postmortem-latest.jsonl")

@@ -7,8 +7,10 @@
 //!
 //! - `<name>.journal` — the write-ahead request journal. The worker
 //!   appends the request's sequence number *before* handing it to the
-//!   service, so every request that might have touched the heap is on
-//!   disk first (modulo the `fsync_every` durability knob).
+//!   service and commits the round's entries to the file in one write at
+//!   the round barrier, before its report leaves — so every request whose
+//!   effects anyone outside the worker has seen is on file first (and on
+//!   disk, modulo the `fsync_every` durability knob).
 //! - `<name>.ckpt` — the latest [`Checkpoint`] file, written at a round
 //!   barrier (a quiescent point: no request in flight, journal synced)
 //!   on `POST /checkpoint` and as the first half of `POST /migrate`.
@@ -33,6 +35,8 @@ use leak_pruning::{PruningConfig, Runtime};
 use lp_recovery::{read_journal, Checkpoint, Journal};
 use lp_telemetry::{Event, PauseHistogram, PrometheusSink, TimeSeries};
 use lp_workloads::Service;
+
+use crate::tenant::SharedNotes;
 
 /// How a worker builds its runtime — kept for the lifetime of the
 /// worker so `POST /migrate` can rebuild an identically-configured
@@ -105,11 +109,9 @@ pub(crate) struct Recovery {
     checkpoint_path: PathBuf,
     history: File,
     history_every: u64,
-    /// Path of the most recent checkpoint written by this worker.
-    pub last_checkpoint: Option<String>,
-    /// Checkpoint this runtime was restored from (boot recovery or
-    /// migration), if any.
-    pub restored_from: Option<String>,
+    /// Where the checkpoint paths are published: the latest one written
+    /// and the one the current runtime was restored from.
+    notes: SharedNotes,
 }
 
 /// A recovery-enabled tenant's boot outcome: the (possibly restored)
@@ -129,6 +131,7 @@ pub(crate) fn boot(
     spec: &RecoverySpec,
     factory: &mut RuntimeFactory,
     service: &mut Box<dyn Service>,
+    notes: SharedNotes,
 ) -> Result<Boot, String> {
     std::fs::create_dir_all(&spec.dir)
         .map_err(|e| format!("cannot create {}: {e}", spec.dir.display()))?;
@@ -199,8 +202,7 @@ pub(crate) fn boot(
         checkpoint_path,
         history,
         history_every: spec.history_every,
-        last_checkpoint: None,
-        restored_from,
+        notes,
     };
     recovery.journal.set_fsync_every(spec.fsync_every);
 
@@ -214,6 +216,9 @@ pub(crate) fn boot(
         recovery.note_served(&mut rt, seq + 1)?;
     }
 
+    if restored_from.is_some() {
+        recovery.notes.lock().restored_from = restored_from;
+    }
     Ok(Boot {
         rt,
         recovery,
@@ -229,6 +234,14 @@ impl Recovery {
         self.journal
             .append()
             .map_err(|e| format!("journal append: {e}"))
+    }
+
+    /// The round barrier's commit: every entry journalled this round
+    /// reaches the file before the worker reports the round.
+    pub fn commit(&mut self) -> Result<(), String> {
+        self.journal
+            .flush()
+            .map_err(|e| format!("journal commit: {e}"))
     }
 
     /// Called after request number `served - 1` completed (`served` =
@@ -248,6 +261,9 @@ impl Recovery {
             rt.used_bytes(),
             rt.live_objects(),
         );
+        // A history line is visible outside the worker, so the journal
+        // entries it covers go to the file first.
+        self.commit()?;
         self.history
             .write_all(line.as_bytes())
             .and_then(|()| self.history.flush())
@@ -269,7 +285,7 @@ impl Recovery {
         checkpoint
             .write(&self.checkpoint_path)
             .map_err(|e| format!("checkpoint write {}: {e}", self.checkpoint_path.display()))?;
-        self.last_checkpoint = Some(self.checkpoint_path.display().to_string());
+        self.notes.lock().last_checkpoint = Some(self.checkpoint_path.display().to_string());
         Ok(())
     }
 
@@ -304,7 +320,7 @@ impl Recovery {
                 .map_err(|e| format!("replay request {seq}: {e}"))?;
             fresh.release_registers();
         }
-        self.restored_from = Some(self.checkpoint_path.display().to_string());
+        self.notes.lock().restored_from = Some(self.checkpoint_path.display().to_string());
         Ok(fresh)
     }
 }
@@ -355,4 +371,210 @@ fn history_seq(line: &str) -> Option<u64> {
         return None;
     }
     value.get("seq")?.as_u64()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lp_workloads::LeakyService;
+
+    /// A heap small enough that the leaky service exhausts it and is
+    /// pruned within a few hundred requests.
+    const HEAP: u64 = 64 * 1024;
+    const ROUND: u64 = 64;
+
+    fn factory() -> RuntimeFactory {
+        RuntimeFactory {
+            heap_capacity: HEAP,
+            byte_budget: HEAP,
+            pruning: true,
+            incremental_mark: None,
+            postmortem_dir: None,
+            sink: PrometheusSink::new(),
+            pauses: PauseHistogram::new(),
+            series: TimeSeries::new(std::time::Duration::from_millis(25), 16),
+            trace: None,
+        }
+    }
+
+    fn tempdir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lp-server-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Recovery as the benchmark fleet configures it: the journal is never
+    /// forced to disk, so only commit points move it to the file.
+    fn spec(dir: &Path, history_every: u64, recover: bool) -> RecoverySpec {
+        RecoverySpec {
+            name: "t".into(),
+            dir: dir.to_owned(),
+            fsync_every: 1 << 30,
+            history_every,
+            recover,
+        }
+    }
+
+    fn boot_leaky(spec: &RecoverySpec) -> (Boot, Box<dyn Service>) {
+        let mut service: Box<dyn Service> = Box::new(LeakyService::new());
+        let boot = boot(spec, &mut factory(), &mut service, SharedNotes::default()).expect("boot");
+        (boot, service)
+    }
+
+    /// What the worker does for requests `boot.request_seq..until`, without
+    /// the round barrier's commit.
+    fn serve(boot: &mut Boot, service: &mut Box<dyn Service>, until: u64) {
+        while boot.request_seq < until {
+            boot.recovery.note_admitted().expect("journal");
+            service
+                .handle(&mut boot.rt, boot.request_seq)
+                .expect("request");
+            boot.request_seq += 1;
+            boot.rt.release_registers();
+            boot.recovery
+                .note_served(&mut boot.rt, boot.request_seq)
+                .expect("history");
+        }
+    }
+
+    fn serve_rounds(boot: &mut Boot, service: &mut Box<dyn Service>, rounds: u64) {
+        for _ in 0..rounds {
+            serve(boot, service, boot.request_seq + ROUND);
+            boot.recovery.commit().expect("commit");
+        }
+    }
+
+    /// The fingerprint of an uninterrupted run of `requests` requests.
+    fn reference_fingerprint(requests: u64) -> u64 {
+        let mut service = LeakyService::new();
+        let mut rt = factory().build();
+        service.setup(&mut rt).expect("setup");
+        rt.release_registers();
+        for seq in 0..requests {
+            service.handle(&mut rt, seq).expect("request");
+            rt.release_registers();
+        }
+        rt.fingerprint()
+    }
+
+    fn history_walk(rt: &Runtime) -> (u64, u64) {
+        rt.history()
+            .iter()
+            .filter(|record| record.pruned_refs > 0)
+            .fold((0, 0), |(events, refs), record| {
+                (events + 1, refs + record.pruned_refs)
+            })
+    }
+
+    /// kill -9: the process image goes away without running destructors,
+    /// so the journal's buffer never reaches the file.
+    fn kill(boot: Boot) {
+        std::mem::forget(boot.recovery);
+    }
+
+    #[test]
+    fn a_kill_mid_round_recovers_to_the_last_barrier() {
+        let dir = tempdir("kill-mid-round");
+        let (mut first, mut service) = boot_leaky(&spec(&dir, 1 << 30, false));
+        serve_rounds(&mut first, &mut service, 1);
+        first
+            .recovery
+            .checkpoint(&mut first.rt, first.request_seq)
+            .expect("checkpoint");
+        serve_rounds(&mut first, &mut service, 2);
+        // Thirty requests into round four, nothing of it committed.
+        serve(&mut first, &mut service, 3 * ROUND + 30);
+        kill(first);
+
+        let (mut again, _service) = boot_leaky(&spec(&dir, 1 << 30, true));
+        assert_eq!(
+            again.request_seq,
+            3 * ROUND,
+            "a prefix: the committed rounds"
+        );
+        assert_eq!(again.replayed, 2 * ROUND);
+        assert_eq!(again.rt.verify_heap(), Vec::new());
+        assert_eq!(again.rt.fingerprint(), reference_fingerprint(3 * ROUND));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_kill_at_a_barrier_replays_exactly_what_was_served_since_the_checkpoint() {
+        let dir = tempdir("kill-at-barrier");
+        let (mut first, mut service) = boot_leaky(&spec(&dir, 1 << 30, false));
+        serve_rounds(&mut first, &mut service, 2);
+        let watermark = first.request_seq;
+        first
+            .recovery
+            .checkpoint(&mut first.rt, watermark)
+            .expect("checkpoint");
+        serve_rounds(&mut first, &mut service, 5);
+        let processed_at_kill = first.request_seq;
+        kill(first);
+
+        let (mut again, _service) = boot_leaky(&spec(&dir, 1 << 30, true));
+        assert_eq!(again.replayed, processed_at_kill - watermark);
+        assert_eq!(again.request_seq, processed_at_kill);
+        assert_eq!(again.rt.verify_heap(), Vec::new());
+        assert_eq!(
+            again.rt.fingerprint(),
+            reference_fingerprint(processed_at_kill)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_history_line_is_never_on_file_before_the_entries_it_covers() {
+        let dir = tempdir("history-order");
+        let (mut boot, mut service) = boot_leaky(&spec(&dir, 8, false));
+        let journal_path = dir.join("t.journal");
+        let history_path = dir.join("t.history");
+        for served in 1..=20 {
+            // No barrier anywhere: only the history line's own commit can
+            // have moved the journal.
+            serve(&mut boot, &mut service, served);
+            let history = std::fs::read_to_string(&history_path).expect("history");
+            let covered = history.lines().last().and_then(history_seq).unwrap_or(0);
+            let on_file = read_journal(&journal_path).expect("journal").entries;
+            assert_eq!(covered, served / 8 * 8);
+            assert!(
+                on_file >= covered,
+                "history covers {covered} requests, the journal holds {on_file}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prune_totals_equal_the_history_walk_after_recovery_and_migration() {
+        let dir = tempdir("prune-totals");
+        let (mut first, mut service) = boot_leaky(&spec(&dir, 1 << 30, false));
+        serve_rounds(&mut first, &mut service, 8);
+        first
+            .recovery
+            .checkpoint(&mut first.rt, first.request_seq)
+            .expect("checkpoint");
+        serve_rounds(&mut first, &mut service, 8);
+        let totals = first.rt.prune_totals();
+        assert!(totals.0 > 0, "the leak was never pruned");
+        assert_eq!(totals, history_walk(&first.rt));
+        let served = first.request_seq;
+        kill(first);
+
+        // Boot recovery: totals rebuilt from the checkpoint's history, then
+        // kept by the replayed collections.
+        let (mut again, mut service) = boot_leaky(&spec(&dir, 1 << 30, true));
+        assert_eq!(again.request_seq, served);
+        assert_eq!(again.rt.prune_totals(), totals);
+        assert_eq!(again.rt.prune_totals(), history_walk(&again.rt));
+
+        // Migration: a fresh runtime restored at the barrier.
+        let migrated = again
+            .recovery
+            .migrate(&mut again.rt, served, &mut factory(), &mut service)
+            .expect("migrate");
+        assert_eq!(migrated.prune_totals(), totals);
+        assert_eq!(migrated.prune_totals(), history_walk(&migrated));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,8 +70,10 @@ pub(crate) enum Command {
     Shutdown,
 }
 
-/// A worker-to-host report: the tenant's state after one command.
-#[derive(Clone, Debug, Default)]
+/// A worker-to-host report: the tenant's state after one command. Plain
+/// numbers, so sending one every round allocates nothing; the strings a
+/// tenant produces live in its [`Notes`].
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Report {
     /// Requests handled while executing this command.
     pub processed: u64,
@@ -83,20 +85,46 @@ pub(crate) struct Report {
     pub prune_events: u64,
     /// Cumulative references pruned.
     pub pruned_refs: u64,
-    /// Fatal error, if the service failed (tenant is then done).
-    pub failed: Option<String>,
+    /// Whether the service failed fatally (tenant is then done); the
+    /// reason is in [`Notes::failed`].
+    pub failed: bool,
     /// Cumulative postmortem bundles written (automatic exhaustion
     /// bundles included, not just host-commanded ones).
     pub postmortem_count: u64,
-    /// Path of the most recent postmortem bundle, if any.
-    pub postmortem_path: Option<String>,
-    /// Path of the most recent checkpoint written by this worker.
-    pub last_checkpoint: Option<String>,
-    /// Checkpoint this runtime was restored from (boot recovery or
-    /// migration), if any.
-    pub restored_from: Option<String>,
     /// Requests replayed from the journal during boot recovery.
     pub replayed: u64,
+}
+
+/// The strings a tenant's life produces. Each changes a handful of times,
+/// so the worker writes it here when it does — at a command boundary,
+/// before the command's report — instead of cloning it into every round's
+/// [`Report`]; the ops plane reads them on request.
+#[derive(Debug, Default)]
+pub(crate) struct Notes {
+    /// Why the tenant failed, once it has.
+    pub failed: Option<String>,
+    /// Path of the most recent postmortem bundle, if any.
+    pub postmortem_path: Option<String>,
+    /// Path of the most recent checkpoint written by the worker.
+    pub last_checkpoint: Option<String>,
+    /// Checkpoint the current runtime was restored from (boot recovery or
+    /// migration), if any.
+    pub restored_from: Option<String>,
+}
+
+/// A tenant's [`Notes`], shared between its worker, the host and the ops
+/// plane.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SharedNotes(Arc<Mutex<Notes>>);
+
+impl SharedNotes {
+    /// Every update leaves the notes valid, so a poisoned lock is usable.
+    pub fn lock(&self) -> MutexGuard<'_, Notes> {
+        match self.0.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
 }
 
 /// Host-side handle to one worker thread plus its shared state.
@@ -113,9 +141,8 @@ pub(crate) struct TenantWorker {
     pub total_requests: Option<u64>,
     /// Requests offered by the built-in generator so far.
     pub offered: u64,
-    /// Admission queue into the worker.
-    pub queue: SyncSender<()>,
-    /// Live admission counters (shared with the ops plane).
+    /// The admission queue and its live counters (shared with the worker
+    /// and the ops plane).
     pub counters: Arc<TenantCounters>,
     /// This tenant's metrics sink (shared with the ops plane).
     pub sink: PrometheusSink,
@@ -138,8 +165,11 @@ pub(crate) struct TenantWorker {
     pub quarantined: bool,
     /// Set once the schedule is exhausted and the backlog drained.
     pub finished: bool,
-    /// Set when the service returned a fatal error.
-    pub failed: Option<String>,
+    /// Set when the service returned a fatal error or the worker was lost.
+    pub failed: bool,
+    /// The tenant's failure reason and file paths (shared with the worker
+    /// and the ops plane).
+    pub notes: SharedNotes,
     /// Latest cumulative stats from the worker.
     pub last_report: Report,
     commands: SyncSender<Command>,
@@ -175,10 +205,10 @@ impl TenantWorker {
         let trace_sink = trace_path
             .map(|path| JsonlSink::create(&path))
             .transpose()?;
-        let (queue_tx, queue_rx) = sync_channel::<()>(queue_capacity);
         let (command_tx, command_rx) = sync_channel::<Command>(1);
         let (report_tx, report_rx) = sync_channel::<Report>(1);
-        let counters = Arc::new(TenantCounters::new());
+        let counters = Arc::new(TenantCounters::new(queue_capacity));
+        let notes = SharedNotes::default();
         let sink = PrometheusSink::new();
         let pauses = PauseHistogram::new();
         let requests = PauseHistogram::new();
@@ -186,6 +216,7 @@ impl TenantWorker {
         let used_bytes = Arc::new(AtomicU64::new(0));
 
         let worker_counters = Arc::clone(&counters);
+        let worker_notes = notes.clone();
         let worker_sink = sink.clone();
         let worker_pauses = pauses.clone();
         let worker_requests = requests.clone();
@@ -222,10 +253,10 @@ impl TenantWorker {
                     factory,
                     recovery_spec,
                     service,
-                    queue_rx,
                     command_rx,
                     report_tx,
                     worker_counters,
+                    worker_notes,
                     worker_requests,
                     window_series,
                     worker_used,
@@ -239,7 +270,6 @@ impl TenantWorker {
             arrival_rate,
             total_requests,
             offered: 0,
-            queue: queue_tx,
             counters,
             sink,
             pauses,
@@ -249,7 +279,8 @@ impl TenantWorker {
             used_bytes,
             quarantined: false,
             finished: false,
-            failed: None,
+            failed: false,
+            notes,
             last_report: Report::default(),
             commands: command_tx,
             reports: report_rx,
@@ -274,16 +305,25 @@ impl TenantWorker {
     /// worker is gone.
     pub fn wait(&mut self) -> Option<Report> {
         let report = self.reports.recv().ok()?;
-        if report.failed.is_some() && self.failed.is_none() {
-            self.failed.clone_from(&report.failed);
-        }
-        self.last_report = report.clone();
+        self.failed |= report.failed;
+        self.last_report = report;
         Some(report)
+    }
+
+    /// Marks the tenant failed because its worker thread is gone.
+    pub fn note_lost(&mut self) {
+        if !self.failed {
+            self.failed = true;
+            self.notes
+                .lock()
+                .failed
+                .get_or_insert_with(|| "worker thread lost".into());
+        }
     }
 
     /// Whether this tenant still participates in rounds.
     pub fn active(&self) -> bool {
-        !self.finished && self.failed.is_none()
+        !self.finished && !self.failed
     }
 
     /// Marks the tenant finished once its (finite) schedule has been
@@ -315,27 +355,8 @@ impl Drop for TenantWorker {
     }
 }
 
-/// Cumulative pruning stats derived from the runtime's GC history.
-fn prune_stats(rt: &Runtime) -> (u64, u64) {
-    let mut events = 0;
-    let mut refs = 0;
-    for record in rt.history() {
-        if record.pruned_refs > 0 {
-            events += 1;
-            refs += record.pruned_refs;
-        }
-    }
-    (events, refs)
-}
-
-fn report_of(
-    rt: &Runtime,
-    processed: u64,
-    failed: Option<String>,
-    recovery: Option<&Recovery>,
-    replayed: u64,
-) -> Report {
-    let (prune_events, pruned_refs) = prune_stats(rt);
+fn report_of(rt: &Runtime, processed: u64, failed: bool, replayed: u64) -> Report {
+    let (prune_events, pruned_refs) = rt.prune_totals();
     Report {
         processed,
         used_bytes: rt.used_bytes(),
@@ -344,9 +365,6 @@ fn report_of(
         pruned_refs,
         failed,
         postmortem_count: rt.postmortem_count(),
-        postmortem_path: rt.postmortem_latest().map(|p| p.display().to_string()),
-        last_checkpoint: recovery.and_then(|r| r.last_checkpoint.clone()),
-        restored_from: recovery.and_then(|r| r.restored_from.clone()),
         replayed,
     }
 }
@@ -381,27 +399,35 @@ fn series_window_json(series: &TimeSeries) -> JsonValue {
     ])
 }
 
+/// Records the tenant's first fatal error; later ones are consequences.
+fn fail(failed: &mut bool, notes: &SharedNotes, message: String) {
+    if !*failed {
+        *failed = true;
+        notes.lock().failed = Some(message);
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_main(
     mut factory: RuntimeFactory,
     recovery_spec: Option<RecoverySpec>,
     mut service: Box<dyn Service>,
-    requests: Receiver<()>,
     commands: Receiver<Command>,
     reports: SyncSender<Report>,
     counters: Arc<TenantCounters>,
+    notes: SharedNotes,
     request_times: PauseHistogram,
     series: TimeSeries,
     used_bytes: Arc<AtomicU64>,
 ) {
-    let mut failed: Option<String> = None;
+    let mut failed = false;
     let mut recovery: Option<Recovery> = None;
     let mut request_seq: u64 = 0;
     let mut replayed: u64 = 0;
     let mut rt = match &recovery_spec {
         // Recovery-enabled boot: restore from the checkpoint (if asked
         // and present), reattach the service, replay the journal suffix.
-        Some(spec) => match recovery::boot(spec, &mut factory, &mut service) {
+        Some(spec) => match recovery::boot(spec, &mut factory, &mut service, notes.clone()) {
             Ok(boot) => {
                 recovery = Some(boot.recovery);
                 request_seq = boot.request_seq;
@@ -409,35 +435,48 @@ fn worker_main(
                 boot.rt
             }
             Err(message) => {
-                failed = Some(format!("recovery: {message}"));
+                fail(&mut failed, &notes, format!("recovery: {message}"));
                 factory.build()
             }
         },
         None => {
             let mut rt = factory.build();
             if let Err(error) = service.setup(&mut rt) {
-                failed = Some(format!("setup: {error}"));
+                fail(&mut failed, &notes, format!("setup: {error}"));
             }
             rt.release_registers();
             rt
         }
     };
+    // This round's request service times, merged into the shared
+    // histogram under one lock at the barrier.
+    let mut round_times: Vec<u64> = Vec::new();
+    let mut noted_postmortems = 0;
 
     while let Ok(command) = commands.recv() {
         let mut processed = 0;
         match command {
             Command::Round { max_requests } => {
-                while failed.is_none() && processed < max_requests {
-                    if requests.try_recv().is_err() {
-                        break;
-                    }
-                    // Write-ahead: the request's sequence number hits
+                // The round's share of the queue is fixed when the round
+                // starts; a request injected while it runs waits for the
+                // next one.
+                let share = if failed {
+                    0
+                } else {
+                    counters.waiting().min(max_requests)
+                };
+                let mut taken = 0;
+                while !failed && taken < share {
+                    taken += 1;
+                    // Write-ahead: the request's sequence number is in
                     // the journal before the service can touch the heap,
-                    // so replay after a crash covers every request that
-                    // might have mutated state.
+                    // and the journal is on file before this round's
+                    // report leaves — so replay after a crash covers
+                    // every request anyone outside has seen the effects
+                    // of.
                     if let Some(rec) = recovery.as_mut() {
                         if let Err(message) = rec.note_admitted() {
-                            failed = Some(message);
+                            fail(&mut failed, &notes, message);
                             break;
                         }
                     }
@@ -448,15 +487,13 @@ fn worker_main(
                     let span = rt.telemetry().span("request", request_seq);
                     let started = Instant::now();
                     let outcome = service.handle(&mut rt, request_seq);
-                    request_times.record_nanos(
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
+                    round_times
+                        .push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
                     drop(span);
                     match outcome {
                         Ok(()) => {
                             request_seq += 1;
                             processed += 1;
-                            counters.note_processed();
                             // An idle register file before the history
                             // fingerprint, so the recorded state is the
                             // same pure function of `request_seq` that
@@ -464,12 +501,16 @@ fn worker_main(
                             rt.release_registers();
                             if let Some(rec) = recovery.as_mut() {
                                 if let Err(message) = rec.note_served(&mut rt, request_seq) {
-                                    failed = Some(message);
+                                    fail(&mut failed, &notes, message);
                                 }
                             }
                         }
                         Err(error) => {
-                            failed = Some(format!("request {request_seq}: {error}"));
+                            fail(
+                                &mut failed,
+                                &notes,
+                                format!("request {request_seq}: {error}"),
+                            );
                             rt.release_registers();
                         }
                     }
@@ -479,6 +520,17 @@ fn worker_main(
                 // moving toward its flush for idle tenants too. No-op
                 // unless the spec enabled incremental marking.
                 rt.step_incremental(4);
+                // The barrier: the round's journal entries reach the file
+                // first, then its effects become visible — the counters
+                // and times here, the report below.
+                if let Some(rec) = recovery.as_mut() {
+                    if let Err(message) = rec.commit() {
+                        fail(&mut failed, &notes, message);
+                    }
+                }
+                request_times.record_all(&round_times);
+                round_times.clear();
+                counters.note_round(taken, processed);
             }
             Command::ForceCollect => {
                 rt.force_gc();
@@ -496,7 +548,7 @@ fn worker_main(
             Command::Checkpoint => {
                 if let Some(rec) = recovery.as_mut() {
                     if let Err(message) = rec.checkpoint(&mut rt, request_seq) {
-                        failed.get_or_insert(format!("checkpoint: {message}"));
+                        fail(&mut failed, &notes, format!("checkpoint: {message}"));
                     }
                 }
             }
@@ -505,19 +557,28 @@ fn worker_main(
                     match rec.migrate(&mut rt, request_seq, &mut factory, &mut service) {
                         Ok(fresh) => rt = fresh,
                         Err(message) => {
-                            failed.get_or_insert(format!("migrate: {message}"));
+                            fail(&mut failed, &notes, format!("migrate: {message}"));
                         }
                     }
                 }
             }
             Command::Shutdown => {
-                let report = report_of(&rt, 0, failed.clone(), recovery.as_ref(), replayed);
+                let report = report_of(&rt, 0, failed, replayed);
                 used_bytes.store(report.used_bytes, Ordering::Relaxed);
                 let _ = reports.send(report);
                 break;
             }
         }
-        let report = report_of(&rt, processed, failed.clone(), recovery.as_ref(), replayed);
+        // Automatic bundles (exhaustion) land mid-request, commanded ones
+        // above; either way the path is noted before the report. A
+        // migrated runtime starts without one and keeps the last known.
+        if rt.postmortem_count() != noted_postmortems {
+            noted_postmortems = rt.postmortem_count();
+            if let Some(path) = rt.postmortem_latest() {
+                notes.lock().postmortem_path = Some(path.display().to_string());
+            }
+        }
+        let report = report_of(&rt, processed, failed, replayed);
         used_bytes.store(report.used_bytes, Ordering::Relaxed);
         if reports.send(report).is_err() {
             break;
@@ -528,7 +589,6 @@ fn worker_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::offer;
     use lp_workloads::{HealthyService, LeakyService};
 
     fn spec(service: Box<dyn Service>) -> TenantSpec {
@@ -538,9 +598,7 @@ mod tests {
     #[test]
     fn a_round_drains_at_most_the_service_rate() {
         let mut worker = TenantWorker::spawn(spec(Box::new(HealthyService::new()))).unwrap();
-        for _ in 0..10 {
-            assert!(offer(&worker.queue, &worker.counters, false).is_none());
-        }
+        assert_eq!(worker.counters.offer(10, false).admitted, 10);
         assert!(worker.send(Command::Round { max_requests: 4 }));
         let report = worker.wait().unwrap();
         assert_eq!(report.processed, 4);
@@ -552,9 +610,7 @@ mod tests {
     #[test]
     fn force_collect_reports_post_collection_usage() {
         let mut worker = TenantWorker::spawn(spec(Box::new(LeakyService::new()))).unwrap();
-        for _ in 0..64 {
-            let _ = offer(&worker.queue, &worker.counters, false);
-        }
+        worker.counters.offer(64, false);
         worker.send(Command::Round { max_requests: 64 });
         let busy = worker.wait().unwrap();
         worker.send(Command::ForceCollect);
@@ -570,14 +626,12 @@ mod tests {
             TenantWorker::spawn(spec(Box::new(LeakyService::new())).incremental_mark(256)).unwrap();
         let mut processed = 0;
         for _ in 0..40 {
-            for _ in 0..64 {
-                let _ = offer(&worker.queue, &worker.counters, false);
-            }
+            worker.counters.offer(64, false);
             worker.send(Command::Round { max_requests: 64 });
             processed += worker.wait().unwrap().processed;
         }
         let report = &worker.last_report;
-        assert!(report.failed.is_none(), "{report:?}");
+        assert!(!report.failed, "{:?}", worker.notes.lock());
         assert!(processed > 0);
         assert!(report.gc_count > 0, "collections ran incrementally");
         worker.join();
@@ -599,9 +653,7 @@ mod tests {
         let mut worker = TenantWorker::spawn(spec_for(false)).unwrap();
         let serve_rounds = |worker: &mut TenantWorker, rounds: usize| {
             for _ in 0..rounds {
-                for _ in 0..64 {
-                    let _ = offer(&worker.queue, &worker.counters, false);
-                }
+                worker.counters.offer(64, false);
                 worker.send(Command::Round { max_requests: 64 });
                 worker.wait().unwrap();
             }
@@ -609,8 +661,13 @@ mod tests {
         serve_rounds(&mut worker, 3);
         worker.send(Command::Checkpoint);
         let report = worker.wait().unwrap();
-        assert!(report.failed.is_none(), "{report:?}");
-        let checkpoint = report.last_checkpoint.clone().expect("checkpoint path");
+        assert!(!report.failed, "{:?}", worker.notes.lock());
+        let checkpoint = worker
+            .notes
+            .lock()
+            .last_checkpoint
+            .clone()
+            .expect("checkpoint path");
         assert!(std::path::Path::new(&checkpoint).exists());
         serve_rounds(&mut worker, 3);
         worker.join();
@@ -623,9 +680,12 @@ mod tests {
         let mut worker = TenantWorker::spawn(spec_for(true)).unwrap();
         worker.send(Command::ForceCollect);
         let report = worker.wait().unwrap();
-        assert!(report.failed.is_none(), "{report:?}");
+        assert!(!report.failed, "{:?}", worker.notes.lock());
         assert_eq!(report.replayed, 192);
-        assert_eq!(report.restored_from.as_deref(), Some(checkpoint.as_str()));
+        assert_eq!(
+            worker.notes.lock().restored_from.as_deref(),
+            Some(checkpoint.as_str())
+        );
         worker.join();
         let after = std::fs::read_to_string(dir.join("t.history")).expect("history");
         assert_eq!(before, after);
@@ -644,25 +704,24 @@ mod tests {
 
         let mut worker = TenantWorker::spawn(spec).unwrap();
         for _ in 0..3 {
-            for _ in 0..64 {
-                let _ = offer(&worker.queue, &worker.counters, false);
-            }
+            worker.counters.offer(64, false);
             worker.send(Command::Round { max_requests: 64 });
             worker.wait().unwrap();
         }
         let used_before = worker.last_report.used_bytes;
         worker.send(Command::Migrate);
         let report = worker.wait().unwrap();
-        assert!(report.failed.is_none(), "{report:?}");
-        assert!(report.restored_from.is_some(), "migration never ran");
+        assert!(!report.failed, "{:?}", worker.notes.lock());
+        assert!(
+            worker.notes.lock().restored_from.is_some(),
+            "migration never ran"
+        );
         assert_eq!(report.used_bytes, used_before);
         // The migrated runtime keeps serving.
-        for _ in 0..64 {
-            let _ = offer(&worker.queue, &worker.counters, false);
-        }
+        worker.counters.offer(64, false);
         worker.send(Command::Round { max_requests: 64 });
         let report = worker.wait().unwrap();
-        assert!(report.failed.is_none(), "{report:?}");
+        assert!(!report.failed, "{:?}", worker.notes.lock());
         assert_eq!(report.processed, 64);
         worker.join();
         let _ = std::fs::remove_dir_all(&dir);
@@ -674,9 +733,7 @@ mod tests {
         // Push enough leaked sessions that the heap cannot fit the
         // target without pruning.
         for _ in 0..4 {
-            for _ in 0..128 {
-                let _ = offer(&worker.queue, &worker.counters, false);
-            }
+            worker.counters.offer(128, false);
             worker.send(Command::Round { max_requests: 128 });
             worker.wait().unwrap();
         }

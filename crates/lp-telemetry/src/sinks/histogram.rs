@@ -22,6 +22,16 @@ struct Samples {
     truncated: u64,
 }
 
+impl Samples {
+    fn push(&mut self, nanos: u64) {
+        if self.pauses.len() < MAX_SAMPLES {
+            self.pauses.push(nanos);
+        } else {
+            self.truncated += 1;
+        }
+    }
+}
+
 /// Sink recording one pause-time sample per `collection` event. Clones
 /// share state: hand one clone to the bus and keep the other to query.
 #[derive(Clone, Debug, Default)]
@@ -106,11 +116,18 @@ impl PauseHistogram {
     /// host uses this to record per-request service times that never
     /// appear as telemetry events.
     pub fn record_nanos(&self, nanos: u64) {
+        self.lock().push(nanos);
+    }
+
+    /// Records a batch of samples under one lock — what a worker that
+    /// buffers a round's request times calls at the round barrier.
+    pub fn record_all(&self, nanos: &[u64]) {
+        if nanos.is_empty() {
+            return;
+        }
         let mut samples = self.lock();
-        if samples.pauses.len() < MAX_SAMPLES {
-            samples.pauses.push(nanos);
-        } else {
-            samples.truncated += 1;
+        for &sample in nanos {
+            samples.push(sample);
         }
     }
 
@@ -177,11 +194,7 @@ impl PauseHistogram {
         };
         let mut mine = self.lock();
         for pause in pauses {
-            if mine.pauses.len() < MAX_SAMPLES {
-                mine.pauses.push(pause);
-            } else {
-                mine.truncated += 1;
-            }
+            mine.push(pause);
         }
         mine.truncated += truncated;
     }
@@ -205,12 +218,7 @@ impl Sink for PauseHistogram {
             Event::MarkQuantum { nanos, .. } => nanos,
             _ => return,
         };
-        let mut samples = self.lock();
-        if samples.pauses.len() < MAX_SAMPLES {
-            samples.pauses.push(pause);
-        } else {
-            samples.truncated += 1;
-        }
+        self.lock().push(pause);
     }
 }
 
@@ -296,6 +304,22 @@ mod tests {
         assert_eq!(h.p99(), Some(Duration::from_nanos(990)));
         assert_eq!(h.p999(), Some(Duration::from_nanos(999)));
         assert_eq!(h.max(), Some(Duration::from_nanos(1000)));
+    }
+
+    #[test]
+    fn a_batch_records_like_its_samples_one_by_one() {
+        let batched = PauseHistogram::new();
+        let single = PauseHistogram::new();
+        let samples: Vec<u64> = (1..=100).rev().collect();
+        batched.record_all(&samples);
+        batched.record_all(&[]);
+        for &nanos in &samples {
+            single.record_nanos(nanos);
+        }
+        assert_eq!(batched.count(), 100);
+        assert_eq!(batched.p50(), single.p50());
+        assert_eq!(batched.p99(), single.p99());
+        assert_eq!(batched.max(), single.max());
     }
 
     #[test]

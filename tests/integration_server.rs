@@ -165,6 +165,80 @@ fn identical_seeds_give_identical_fleet_histories() {
     assert!(first.iter().any(|t| t.1 > 0), "nothing was admitted");
 }
 
+/// FNV-1a over a file's bytes: pins the whole file in one constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The counts and per-tenant history files of `scenario(7)` over 80 rounds
+/// with recovery on, as the host produced them when the admission queue
+/// was a channel, the journal wrote once per request and the tenant report
+/// walked the GC history. Serving at round cost must not move any of it.
+/// (A change that means to alter what tenants do — heap layout in the
+/// fingerprint, service handlers, arbiter policy — regenerates these.)
+#[test]
+fn fleet_counts_and_histories_match_the_pinned_run() {
+    let dir = std::env::temp_dir().join(format!("lp-server-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cfg, tenants) = scenario(7);
+    let tenants = tenants
+        .into_iter()
+        .map(|spec| {
+            spec.recovery_dir(dir.clone())
+                .fsync_every(1 << 30)
+                .history_every(25)
+        })
+        .collect();
+    let mut host = Host::new(cfg, tenants).unwrap();
+    for _ in 0..80 {
+        host.run_round();
+    }
+    let summary = host.summary();
+    host.shutdown();
+    let got: Vec<(String, [u64; 8], u64)> = summary
+        .iter()
+        .map(|t| {
+            let history = std::fs::read(dir.join(format!("{}.history", t.name))).unwrap();
+            (
+                t.name.clone(),
+                [
+                    t.admitted,
+                    t.shed_queue_full,
+                    t.shed_quarantined,
+                    t.processed,
+                    t.gc_count,
+                    t.prune_events,
+                    t.pruned_refs,
+                    t.quarantines,
+                ],
+                fnv1a(&history),
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let pinned = [
+        (
+            "leaky",
+            [1224, 35, 0, 1202, 51, 2, 2, 0],
+            8989147425849786837,
+        ),
+        (
+            "healthy-a",
+            [400, 0, 0, 400, 17, 0, 0, 0],
+            4937686179806823856,
+        ),
+        (
+            "healthy-b",
+            [400, 0, 0, 400, 14, 0, 0, 0],
+            9994006290672455627,
+        ),
+    ]
+    .map(|(name, counts, history)| (name.to_owned(), counts, history));
+    assert_eq!(got, pinned);
+}
+
 #[test]
 fn over_committed_budgets_are_rejected_at_boot() {
     let cfg = HostConfig::new(100 * KB);
@@ -256,6 +330,77 @@ fn ops_plane_serves_health_metrics_tenants_and_inject() {
     assert!(down.starts_with("HTTP/1.1 200"), "{down}");
     assert!(host.shutdown_requested());
     host.shutdown();
+}
+
+/// The queue is a pair of counters, offered to from two threads at once —
+/// the round loop's generator and the ops plane's `POST /inject` — and
+/// drained by nobody (service rate 0): however the two interleave, it must
+/// fill to exactly its capacity and shed every other arrival as
+/// `QueueFull`.
+#[test]
+fn concurrent_injects_shed_queue_full_at_exactly_the_capacity() {
+    const CAPACITY: u64 = 500;
+    const INJECTORS: u64 = 3;
+    const POSTS: u64 = 40;
+    const BATCH: u64 = 7;
+    let cfg = HostConfig::new(1 << 20).seed(11).ops("127.0.0.1:0");
+    let tenants = vec![TenantSpec::new("web", Box::new(HealthyService::new()))
+        .arrival_rate(2)
+        .service_rate(0)
+        .queue_capacity(CAPACITY as usize)];
+    let mut host = Host::new(cfg, tenants).unwrap();
+    let sink = MemorySink::default();
+    host.telemetry().add_sink(Box::new(sink.clone()));
+    let addr = host.ops_addr().expect("ops plane enabled");
+
+    let start = std::sync::Barrier::new(INJECTORS as usize + 1);
+    let injected: u64 = std::thread::scope(|scope| {
+        let injectors: Vec<_> = (0..INJECTORS)
+            .map(|_| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    let mut admitted = 0;
+                    for _ in 0..POSTS {
+                        let response = http(addr, "POST", &format!("/inject?tenant=web&n={BATCH}"));
+                        let reply = lp_telemetry::json::parse(body(&response)).unwrap();
+                        let got = reply.get("admitted").unwrap().as_u64().unwrap();
+                        let shed = reply.get("shed").unwrap().as_u64().unwrap();
+                        assert_eq!(got + shed, BATCH, "{response}");
+                        admitted += got;
+                    }
+                    admitted
+                })
+            })
+            .collect();
+        start.wait();
+        // Rounds keep offering until every injector is done; the pause only
+        // spreads them over the injectors' lifetime, no assertion needs it.
+        while !injectors.iter().all(|handle| handle.is_finished()) {
+            assert_eq!(host.run_round(), 0, "nothing is served at rate 0");
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        injectors
+            .into_iter()
+            .map(|handle| handle.join().expect("injector"))
+            .sum()
+    });
+    let web = host.summary().remove(0);
+    host.shutdown();
+
+    let (mut generated, mut generated_shed) = (0, 0);
+    for line in sink.lines.lock().unwrap().iter() {
+        match &line.event {
+            Event::TenantAdmit { admitted, .. } => generated += admitted,
+            Event::TenantShed { queue_full, .. } => generated_shed += queue_full,
+            _ => {}
+        }
+    }
+    assert_eq!(web.admitted, CAPACITY, "{web:?}");
+    assert_eq!(injected + generated, CAPACITY);
+    let offered = INJECTORS * POSTS * BATCH + generated + generated_shed;
+    assert_eq!(web.shed_queue_full, offered - CAPACITY, "{web:?}");
+    assert_eq!(web.processed, 0);
 }
 
 // ----- the arbiter invariant, property-checked over model fleets ----------
