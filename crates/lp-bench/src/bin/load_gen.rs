@@ -2,9 +2,10 @@
 //!
 //! Reads the host's ops address from a port file, drives a fixed number
 //! of requests through `POST /inject` in batches across the fleet's
-//! tenants, scrapes `/metrics` once, asserts non-zero admissions with
-//! per-tenant labels, and finally requests a clean shutdown with
-//! `POST /shutdown`.
+//! tenants, scrapes `/metrics`, asserts non-zero admissions with
+//! per-tenant labels and a request histogram that has counted every
+//! request `/tenants` says was processed, and finally requests a clean
+//! shutdown with `POST /shutdown`.
 //!
 //! Usage: `load_gen PORT_FILE [TOTAL_REQUESTS]` (default 2000).
 
@@ -35,6 +36,52 @@ fn admitted_of(body: &str) -> u64 {
                 .ok()
         })
         .unwrap_or(0)
+}
+
+/// The value of the `/metrics` sample whose line starts with `needle`.
+fn sample(metrics: &str, needle: &str) -> Option<u64> {
+    let line = metrics.lines().find(|line| line.starts_with(needle))?;
+    line.rsplit(' ').next()?.parse().ok()
+}
+
+/// Every tenant's `(name, processed)` on `/tenants`.
+fn processed(addr: &str) -> Option<Vec<(String, u64)>> {
+    let body = lp_telemetry::json::parse(&request(addr, "GET", "/tenants")?).ok()?;
+    let tenants = body.get("tenants")?.as_arr()?.iter();
+    tenants
+        .map(|t| {
+            Some((
+                t.get("name")?.as_str()?.to_owned(),
+                t.get("processed")?.as_u64()?,
+            ))
+        })
+        .collect()
+}
+
+/// Checks that no request time was dropped: each tenant's
+/// `lp_server_request_nanos_count` equals its `processed`. The host is
+/// live, so `/tenants` is read on both sides of the scrape and the
+/// comparison retried until no round fell in between.
+fn request_counts_match(addr: &str) -> Result<(), String> {
+    let mut mismatch = "no quiet scrape in 50 attempts".to_owned();
+    for _ in 0..50 {
+        let before = processed(addr).ok_or("/tenants scrape failed")?;
+        let metrics = request(addr, "GET", "/metrics").ok_or("/metrics scrape failed")?;
+        if processed(addr).as_ref() == Some(&before) {
+            let wrong = before.iter().find_map(|(tenant, processed)| {
+                let needle = format!("lp_server_request_nanos_count{{tenant=\"{tenant}\"}}");
+                let count = sample(&metrics, &needle);
+                (count != Some(*processed))
+                    .then(|| format!("{needle} is {count:?}, processed is {processed}"))
+            });
+            match wrong {
+                None => return Ok(()),
+                Some(wrong) => mismatch = wrong,
+            }
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Err(mismatch)
 }
 
 fn main() -> ExitCode {
@@ -100,21 +147,14 @@ fn main() -> ExitCode {
     }
     for tenant in &tenants {
         let needle = format!("lp_server_admitted_total{{tenant=\"{tenant}\"}}");
-        let Some(line) = metrics
-            .lines()
-            .find(|line| line.starts_with(needle.as_str()))
-        else {
-            failures.push(format!("/metrics lacks {needle}"));
-            continue;
-        };
-        let value: u64 = line
-            .rsplit(' ')
-            .next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if value == 0 {
-            failures.push(format!("{tenant} admitted nothing"));
+        match sample(&metrics, &needle) {
+            None => failures.push(format!("/metrics lacks {needle}")),
+            Some(0) => failures.push(format!("{tenant} admitted nothing")),
+            Some(_) => {}
         }
+    }
+    if let Err(mismatch) = request_counts_match(&addr) {
+        failures.push(mismatch);
     }
 
     let shutdown = request(&addr, "POST", "/shutdown");

@@ -46,5 +46,6 @@ mod journal;
 
 pub use checkpoint::{Checkpoint, CheckpointError, RestoreError, CHECKPOINT_VERSION};
 pub use journal::{
-    read_journal, read_journal_text, Journal, JournalError, JournalRead, JOURNAL_VERSION,
+    read_journal, read_journal_from, read_journal_text, Journal, JournalError, JournalRead,
+    JOURNAL_VERSION,
 };

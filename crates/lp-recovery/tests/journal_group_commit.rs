@@ -59,6 +59,14 @@ proptest! {
             prop_assert_eq!(read.entries, complete_lines);
             prop_assert_eq!(read.valid_bytes, intact as u64);
             prop_assert_eq!(read.torn_tail, intact != cut);
+            // What the crash left is a file: the streaming file reader must
+            // say the same, and a reopen must leave exactly the intact part.
+            fs::write(&path, prefix).expect("write prefix");
+            prop_assert_eq!(read_journal(&path).as_ref(), Ok(&read));
+            let reopened = Journal::reopen(&path).expect("reopen");
+            prop_assert_eq!(reopened.last_seq(), complete_lines);
+            drop(reopened);
+            prop_assert_eq!(fs::metadata(&path).expect("meta").len(), intact as u64);
         }
         fs::remove_file(&path).ok();
     }

@@ -23,9 +23,11 @@
 //!   diffs.
 //!
 //! Recovery at boot restores the checkpoint (if any), reattaches the
-//! service by name, truncates the history back to the checkpoint's
-//! watermark, and replays the journal suffix through the same service
-//! code — regenerating the truncated history lines on the way.
+//! service by name, reopens the journal (one streaming pass validates it,
+//! in memory that does not depend on its length), truncates the history
+//! back to the checkpoint's watermark, and replays the journal suffix
+//! through the same service code — regenerating the truncated history
+//! lines on the way.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -164,21 +166,20 @@ pub(crate) fn boot(
         (rt, 0, None)
     };
 
-    // 2. The journal: reopen (tolerating one torn tail) when recovering,
-    // start fresh otherwise.
-    let (journal, entries) = if spec.recover && journal_path.exists() {
-        let read = read_journal(&journal_path)
+    // 2. The journal: reopen when recovering — the one pass over the file,
+    // which validates it and cuts a torn tail off — and start fresh
+    // otherwise.
+    let journal = if spec.recover && journal_path.exists() {
+        let journal = Journal::reopen(&journal_path)
             .map_err(|e| format!("journal {}: {e}", journal_path.display()))?;
-        if read.entries < watermark {
+        if journal.last_seq() < watermark {
             return Err(format!(
                 "journal {} has {} entries but the checkpoint watermark is {watermark}",
                 journal_path.display(),
-                read.entries
+                journal.last_seq()
             ));
         }
-        let journal = Journal::reopen(&journal_path)
-            .map_err(|e| format!("journal {}: {e}", journal_path.display()))?;
-        (journal, read.entries)
+        journal
     } else {
         if watermark > 0 {
             return Err(format!(
@@ -186,10 +187,10 @@ pub(crate) fn boot(
                 journal_path.display()
             ));
         }
-        let journal = Journal::create(&journal_path, &spec.name)
-            .map_err(|e| format!("journal {}: {e}", journal_path.display()))?;
-        (journal, 0)
+        Journal::create(&journal_path, &spec.name)
+            .map_err(|e| format!("journal {}: {e}", journal_path.display()))?
     };
+    let entries = journal.last_seq();
 
     // 3. The history: drop everything past the watermark (replay
     // regenerates it), keep everything at or before it.

@@ -1,34 +1,86 @@
 //! In-process pause-time histogram: answers the percentile questions
 //! (p50 / p95 / p99 / p999 / max) that end-of-run `GcStats` aggregates
-//! cannot.
+//! cannot, from a fixed 30 KB of log-scale buckets however long the run.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::bus::Sink;
 use crate::event::{Event, TraceLine};
 
-/// Raw samples are capped so a pathological run cannot grow without
-/// bound; at 8 bytes per pause this is 8 MiB.
-const MAX_SAMPLES: usize = 1 << 20;
+/// Sub-buckets per octave: a bucket is at most 1/64 (1.6 %) of the values
+/// it holds wide, and values below 128 ns have a bucket each.
+const SUB_BUCKETS: usize = 64;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// 64 one-nanosecond buckets, then 64 per octave up to `u64::MAX`: 30 KB.
+const BUCKETS: usize = (u64::BITS - SUB_BITS + 1) as usize * SUB_BUCKETS;
 
-#[derive(Debug, Default)]
+/// The bucket `nanos` is counted in: the top set bit picks the octave, the
+/// `SUB_BITS` bits below it the bucket (below the first octave, `nanos`).
+fn bucket_of(nanos: u64) -> usize {
+    let shift = (nanos | SUB_BUCKETS as u64).ilog2() - SUB_BITS;
+    shift as usize * SUB_BUCKETS + (nanos >> shift) as usize
+}
+
+/// The largest value counted in bucket `index`.
+fn bucket_top(index: usize) -> u64 {
+    let shift = (index / SUB_BUCKETS).saturating_sub(1);
+    ((index - shift * SUB_BUCKETS) as u64) << shift | ((1 << shift) - 1)
+}
+
+/// Mutator pauses in nanoseconds, counted per log-scale bucket: one sample
+/// per `collection` event (mark + sweep, or flush + sweep when the mark
+/// phase ran incrementally) and one per `mark_quantum` event. The size is
+/// fixed at construction, so recording never allocates and never drops.
+#[derive(Clone, Debug)]
 struct Samples {
-    /// Mutator pauses in nanoseconds, in arrival order: one per
-    /// `collection` event (mark + sweep, or flush + sweep when the mark
-    /// phase ran incrementally) and one per `mark_quantum` event.
-    pauses: Vec<u64>,
-    /// Collections observed after the sample cap was hit.
-    truncated: u64,
+    buckets: Box<[u64]>,
+    count: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for Samples {
+    fn default() -> Samples {
+        Samples {
+            buckets: vec![0; BUCKETS].into(),
+            count: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
 }
 
 impl Samples {
     fn push(&mut self, nanos: u64) {
-        if self.pauses.len() < MAX_SAMPLES {
-            self.pauses.push(nanos);
-        } else {
-            self.truncated += 1;
+        self.buckets[bucket_of(nanos)] += 1;
+        self.count += 1;
+        self.min = self.min.min(nanos);
+        self.max = self.max.max(nanos);
+    }
+
+    /// The nearest-rank `qs`-quantiles (ascending) in one pass over the
+    /// buckets, `None` with no samples. Each is the top of the bucket the
+    /// exact quantile fell in, clamped to `[min, max]`: at most 1/64 above
+    /// the exact sample, and equal to it at the extremes.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> Option<[u64; N]> {
+        if self.count == 0 {
+            return None;
         }
+        let mut buckets = self.buckets.iter().enumerate();
+        let (mut seen, mut top) = (0, 0);
+        Some(qs.map(|q| {
+            // Nearest-rank: ceil(q * n) clamped to [1, n], 1-based.
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            while seen < rank {
+                let Some((index, &samples)) = buckets.next() else {
+                    break;
+                };
+                seen += samples;
+                top = bucket_top(index);
+            }
+            top.clamp(self.min, self.max)
+        }))
     }
 }
 
@@ -40,45 +92,31 @@ pub struct PauseHistogram {
 }
 
 impl PauseHistogram {
-    /// An empty histogram.
+    /// An empty histogram, at the size it will always have.
     pub fn new() -> PauseHistogram {
         PauseHistogram::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Samples> {
-        match self.samples.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        // Every update leaves the counters valid, so a poisoned lock is too.
+        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of pause samples recorded.
+    /// Number of pause samples recorded — every one, ever.
     pub fn count(&self) -> usize {
-        self.lock().pauses.len()
+        usize::try_from(self.lock().count).unwrap_or(usize::MAX)
     }
 
-    /// Collections dropped after the sample cap was reached.
-    pub fn truncated(&self) -> u64 {
-        self.lock().truncated
-    }
-
-    /// The `q`-quantile pause (nearest-rank), `None` with no samples.
+    /// The `q`-quantile pause (nearest-rank over the buckets, so within
+    /// 1/64 of the exact sample), `None` with no samples.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= q <= 1.0`.
     pub fn percentile(&self, q: f64) -> Option<Duration> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let samples = self.lock();
-        if samples.pauses.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.pauses.clone();
-        sorted.sort_unstable();
-        // Nearest-rank: ceil(q * n) clamped to [1, n], 1-based.
-        let n = sorted.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(Duration::from_nanos(sorted[rank - 1]))
+        let [nanos] = self.lock().quantiles([q])?;
+        Some(Duration::from_nanos(nanos))
     }
 
     /// Median pause.
@@ -101,14 +139,9 @@ impl PauseHistogram {
         self.percentile(0.999)
     }
 
-    /// Longest pause.
+    /// Longest pause, exactly.
     pub fn max(&self) -> Option<Duration> {
-        self.lock()
-            .pauses
-            .iter()
-            .max()
-            .copied()
-            .map(Duration::from_nanos)
+        self.percentile(1.0)
     }
 
     /// Records one sample directly, bypassing the event stream. The
@@ -122,9 +155,6 @@ impl PauseHistogram {
     /// Records a batch of samples under one lock — what a worker that
     /// buffers a round's request times calls at the round barrier.
     pub fn record_all(&self, nanos: &[u64]) {
-        if nanos.is_empty() {
-            return;
-        }
         let mut samples = self.lock();
         for &sample in nanos {
             samples.push(sample);
@@ -137,7 +167,8 @@ impl PauseHistogram {
     /// quantile (0.5 / 0.95 / 0.99 / 0.999), plus a `name_count` counter
     /// family with each histogram's sample count. Histograms with no
     /// samples contribute only their count (0) — a quantile of nothing is
-    /// not 0ns. Label values are escaped.
+    /// not 0ns. Label values are escaped. Each histogram's lock is taken
+    /// once, for one pass over its buckets.
     pub fn merged_quantiles(
         name: &str,
         help: &str,
@@ -146,57 +177,47 @@ impl PauseHistogram {
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let mut counts = String::new();
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} gauge");
         for (value, histogram) in parts {
             let escaped = crate::sinks::escape_label_value(value);
-            for (tag, q) in [
-                ("0.5", 0.5),
-                ("0.95", 0.95),
-                ("0.99", 0.99),
-                ("0.999", 0.999),
-            ] {
-                if let Some(d) = histogram.percentile(q) {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{{label}=\"{escaped}\",quantile=\"{tag}\"}} {}",
-                        d.as_nanos()
-                    );
-                }
+            let samples = histogram.lock();
+            let quantiles = samples.quantiles([0.5, 0.95, 0.99, 0.999]);
+            let tags = ["0.5", "0.95", "0.99", "0.999"];
+            for (tag, nanos) in tags.iter().zip(quantiles.iter().flatten()) {
+                let _ = writeln!(
+                    out,
+                    "{name}{{{label}=\"{escaped}\",quantile=\"{tag}\"}} {nanos}"
+                );
             }
+            let count = samples.count;
+            let _ = writeln!(counts, "{name}_count{{{label}=\"{escaped}\"}} {count}");
         }
         let _ = writeln!(out, "# HELP {name}_count Samples recorded in {name}.");
         let _ = writeln!(out, "# TYPE {name}_count counter");
-        for (value, histogram) in parts {
-            let escaped = crate::sinks::escape_label_value(value);
-            let _ = writeln!(
-                out,
-                "{name}_count{{{label}=\"{escaped}\"}} {}",
-                histogram.count()
-            );
-        }
-        out
+        out + &counts
     }
 
-    /// Folds `other`'s samples into `self`, respecting the sample cap:
-    /// samples that no longer fit count as truncated, and `other`'s own
-    /// truncation count carries over. Percentiles over the merged histogram
-    /// answer host-wide questions ("p95 pause across all tenants") that
-    /// per-tenant histograms cannot. Merging a histogram with itself (same
-    /// shared state) is a no-op rather than a double-count.
+    /// Folds `other`'s samples into `self`, as if each had been recorded
+    /// here. Percentiles over the merged histogram answer host-wide
+    /// questions ("p95 pause across all tenants") that per-tenant
+    /// histograms cannot. Merging a histogram with itself (same shared
+    /// state) is a no-op rather than a double-count.
     pub fn merge(&self, other: &PauseHistogram) {
         if Arc::ptr_eq(&self.samples, &other.samples) {
             return;
         }
-        let (pauses, truncated) = {
-            let theirs = other.lock();
-            (theirs.pauses.clone(), theirs.truncated)
-        };
+        // One lock at a time: two histograms merged into each other from
+        // two threads must not deadlock.
+        let theirs = other.lock().clone();
         let mut mine = self.lock();
-        for pause in pauses {
-            mine.push(pause);
+        for (bucket, samples) in mine.buckets.iter_mut().zip(theirs.buckets.iter()) {
+            *bucket += samples;
         }
-        mine.truncated += truncated;
+        mine.count += theirs.count;
+        mine.min = mine.min.min(theirs.min);
+        mine.max = mine.max.max(theirs.max);
     }
 }
 
@@ -225,6 +246,7 @@ impl Sink for PauseHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn collection(pause_nanos: u64) -> TraceLine {
         TraceLine {
@@ -262,7 +284,9 @@ mod tests {
             h.record(&collection(pause));
         }
         assert_eq!(view.count(), 5);
-        assert_eq!(view.p50(), Some(Duration::from_nanos(300)));
+        // 300 shares the bucket 300..=303, and a quantile is its bucket's
+        // top; the extremes are exact.
+        assert_eq!(view.p50(), Some(Duration::from_nanos(303)));
         assert_eq!(view.p95(), Some(Duration::from_nanos(1000)));
         assert_eq!(view.max(), Some(Duration::from_nanos(1000)));
         assert_eq!(view.percentile(0.0), Some(Duration::from_nanos(100)));
@@ -281,7 +305,8 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), 5);
-        assert_eq!(a.p50(), Some(Duration::from_nanos(300)));
+        assert_eq!(a.p50(), Some(Duration::from_nanos(303)));
+        assert_eq!(a.percentile(0.0), Some(Duration::from_nanos(100)));
         assert_eq!(a.max(), Some(Duration::from_nanos(1000)));
         // b is untouched.
         assert_eq!(b.count(), 3);
@@ -296,12 +321,14 @@ mod tests {
     fn tail_percentiles_use_nearest_rank() {
         let h = PauseHistogram::new();
         // 1..=1000 ns: nearest-rank p99 is the 990th sample, p999 the
-        // 999th — distinct from p95 (950) and max (1000).
+        // 999th — distinct from p95 (950) and max (1000). Up here a bucket
+        // is 8 ns wide and the answer is its top: 944..=951, 984..=991,
+        // 992..=999.
         for nanos in 1..=1000 {
             h.record_nanos(nanos);
         }
-        assert_eq!(h.p95(), Some(Duration::from_nanos(950)));
-        assert_eq!(h.p99(), Some(Duration::from_nanos(990)));
+        assert_eq!(h.p95(), Some(Duration::from_nanos(951)));
+        assert_eq!(h.p99(), Some(Duration::from_nanos(991)));
         assert_eq!(h.p999(), Some(Duration::from_nanos(999)));
         assert_eq!(h.max(), Some(Duration::from_nanos(1000)));
     }
@@ -420,5 +447,93 @@ mod tests {
             event: Event::Iteration { index: 0 },
         });
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn a_long_run_keeps_counting_and_keeps_moving() {
+        // The raw-sample histogram stopped recording at 2^20 samples: the
+        // median of a run that turned 10x slower after its first third
+        // stayed where the first third had put it.
+        const THIRD: usize = 1 << 20;
+        let h = PauseHistogram::new();
+        h.record_all(&vec![1_000; THIRD]);
+        assert_eq!(h.p50(), Some(Duration::from_nanos(1_000)));
+        for _ in 0..2 {
+            h.record_all(&vec![10_000; THIRD]);
+        }
+        assert_eq!(h.count(), 3 * THIRD, "every sample ever recorded");
+        assert_eq!(h.p50(), Some(Duration::from_nanos(10_000)));
+        assert_eq!(h.percentile(0.25), Some(Duration::from_nanos(1_007)));
+    }
+
+    #[test]
+    fn every_value_lands_in_a_bucket_that_holds_it_and_is_narrow() {
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_top(BUCKETS - 1), u64::MAX);
+        for index in 0..BUCKETS {
+            let top = bucket_top(index);
+            assert_eq!(bucket_of(top), index);
+            if let Some(below) = index.checked_sub(1) {
+                let lowest = bucket_top(below) + 1;
+                assert_eq!(bucket_of(lowest), index);
+                assert!((top - lowest) as u128 * 64 <= lowest as u128, "{index}");
+            }
+        }
+    }
+
+    fn exact_nearest_rank(sorted: &[u64], q: f64) -> u64 {
+        let n = sorted.len();
+        sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
+    }
+
+    fn state(h: &PauseHistogram) -> (Vec<u64>, u64, u64, u64) {
+        let samples = h.lock();
+        let buckets = samples.buckets.to_vec();
+        (buckets, samples.count, samples.min, samples.max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn quantiles_are_within_a_64th_of_exact_nearest_rank(
+            mantissas in proptest::collection::vec(1u64..1_000_000, 1..400),
+            scale in 0u32..40,
+            split in 0usize..400,
+        ) {
+            // Spread over many octaves: nanoseconds to hours.
+            let samples: Vec<u64> = mantissas
+                .iter()
+                .enumerate()
+                .map(|(index, m)| (m << (scale * index as u32 % 41)) >> 14)
+                .collect();
+            let h = PauseHistogram::new();
+            h.record_all(&samples);
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for q in [0.0, 0.5, 0.95, 0.99, 0.999, 1.0] {
+                let exact = exact_nearest_rank(&sorted, q);
+                let got = h.percentile(q).expect("samples").as_nanos() as u64;
+                prop_assert!(got >= exact && (got - exact) * 64 <= exact, "q {q}: {got} vs {exact}");
+                if exact < 128 || sorted.len() == 1 {
+                    prop_assert_eq!(got, exact);
+                }
+            }
+            prop_assert_eq!(h.max(), sorted.last().map(|&max| Duration::from_nanos(max)));
+            prop_assert_eq!(h.percentile(0.0), Some(Duration::from_nanos(sorted[0])));
+            prop_assert_eq!(h.count(), samples.len());
+
+            // One by one, and as two merged halves: the same histogram.
+            let single = PauseHistogram::new();
+            samples.iter().for_each(|&nanos| single.record_nanos(nanos));
+            prop_assert_eq!(state(&single), state(&h));
+            let (left, right) = samples.split_at(split.min(samples.len()));
+            let (a, b) = (PauseHistogram::new(), PauseHistogram::new());
+            a.record_all(left);
+            b.record_all(right);
+            a.merge(&b);
+            a.merge(&a.clone());
+            prop_assert_eq!(state(&a), state(&h));
+        }
     }
 }
