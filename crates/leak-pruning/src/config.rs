@@ -92,8 +92,7 @@ pub struct PruningConfig {
     nursery_fraction: Option<f64>,
     decay_max_stale_use_every: Option<u64>,
     run_finalizers_after_prune: bool,
-    marker_threads: usize,
-    sweep_threads: usize,
+    gc_threads: usize,
     max_gc_attempts_per_alloc: u32,
     flight_recorder_slots: Option<usize>,
     census_period: Option<u64>,
@@ -122,8 +121,7 @@ impl PruningConfig {
                 nursery_fraction: None,
                 decay_max_stale_use_every: None,
                 run_finalizers_after_prune: true,
-                marker_threads: 1,
-                sweep_threads: 1,
+                gc_threads: 1,
                 max_gc_attempts_per_alloc: 64,
                 flight_recorder_slots: None,
                 census_period: None,
@@ -214,20 +212,18 @@ impl PruningConfig {
         self.run_finalizers_after_prune
     }
 
-    /// Number of marker threads. With more than one thread, plain
-    /// collections, OBSERVE, the default policy's SELECT closures, and
-    /// PRUNE all run on the parallel work-stealing tracer (§4.5); the
-    /// comparison policies of §6.1 always mark serially.
-    pub fn marker_threads(&self) -> usize {
-        self.marker_threads
-    }
-
-    /// Number of sweep threads. Every full-heap collection — plain,
-    /// OBSERVE, SELECT and PRUNE — sweeps with this many threads; the
-    /// parallel sweep is deterministically equivalent to the serial one,
-    /// so the knob changes pause times only, never outcomes.
-    pub fn sweep_threads(&self) -> usize {
-        self.sweep_threads
+    /// Number of collector threads, for both the mark and the sweep of
+    /// every stop-the-world full-heap collection — plain, OBSERVE, SELECT
+    /// (under every policy) and PRUNE. With more than one, marking runs on
+    /// the parallel work-stealing tracer (§4.5) and the sweep splits the
+    /// heap's chunks across threads; one thread (the default) marks and
+    /// sweeps on the mutator's thread and spawns nothing. The parallel
+    /// sweep is deterministically equivalent to the serial one; parallel
+    /// marking reaches the same closure but may discover SELECT candidates
+    /// in a different order when stale subtrees overlap. Incremental mark
+    /// quanta always run on the mutator's thread.
+    pub fn gc_threads(&self) -> usize {
+        self.gc_threads
     }
 
     /// Upper bound on collections attempted to satisfy one allocation
@@ -397,27 +393,15 @@ impl PruningConfigBuilder {
         self
     }
 
-    /// Sets the number of marker threads (see
-    /// [`PruningConfig::marker_threads`]).
+    /// Sets the number of collector threads (see
+    /// [`PruningConfig::gc_threads`]).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn marker_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one marker thread");
-        self.config.marker_threads = threads;
-        self
-    }
-
-    /// Sets the number of sweep threads (see
-    /// [`PruningConfig::sweep_threads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn sweep_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one sweep thread");
-        self.config.sweep_threads = threads;
+    pub fn gc_threads(mut self, threads: usize) -> Self {
+        assert!(threads > 0, "need at least one collector thread");
+        self.config.gc_threads = threads;
         self
     }
 
@@ -666,8 +650,7 @@ mod tests {
             .prune_only_when_full(true)
             .edge_table_slots(128)
             .force_state(ForcedState::Select)
-            .marker_threads(4)
-            .sweep_threads(4)
+            .gc_threads(4)
             .build();
         assert_eq!(c.heap_capacity(), 2048);
         assert_eq!(c.policy(), PredictionPolicy::MostStale);
@@ -676,19 +659,19 @@ mod tests {
         assert!(c.prune_only_when_full());
         assert_eq!(c.edge_table_slots(), 128);
         assert_eq!(c.forced_state(), Some(ForcedState::Select));
-        assert_eq!(c.marker_threads(), 4);
-        assert_eq!(c.sweep_threads(), 4);
+        assert_eq!(c.gc_threads(), 4);
     }
 
     #[test]
     fn sweep_threads_defaults_to_serial() {
-        assert_eq!(PruningConfig::builder(1024).build().sweep_threads(), 1);
+        // One collector thread count covers the sweep and the mark.
+        assert_eq!(PruningConfig::builder(1024).build().gc_threads(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "need at least one sweep thread")]
+    #[should_panic(expected = "need at least one collector thread")]
     fn rejects_zero_sweep_threads() {
-        PruningConfig::builder(1).sweep_threads(0);
+        PruningConfig::builder(1).gc_threads(0);
     }
 
     #[test]

@@ -5,18 +5,18 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use lp_gc::{trace, CollectionOutcome, Collector, IncrementalMarker, QuantumReport, TraceAll};
+use lp_gc::{par_trace, CollectionOutcome, Collector, IncrementalMarker, QuantumReport, TraceAll};
 use lp_heap::{Heap, RootSet};
 use lp_telemetry::{EdgeShare, Event, SpanGuard, Telemetry};
 
 use crate::closures::{
-    InUseVisitor, MostStaleVisitor, ObserveVisitor, PruneVisitor, Selection, StaleVisitor,
+    select_mark, InUseVisitor, IndividualRefsVisitor, MostStaleVisitor, ObserveVisitor,
+    PruneVisitor,
 };
 use crate::config::{PredictionPolicy, PruningConfig};
 use crate::edge_table::{EdgeKey, EdgeTable};
 use crate::error::OutOfMemoryError;
 use crate::liveness::{LivenessSummaries, Signal, StaticVerdicts, EMPTY_VERDICTS};
-use crate::par_closures::{par_select_mark, ParObserveVisitor, ParPruneVisitor};
 use crate::record::{GcRecord, SelectionInfo};
 use crate::state::{next_state, State, TransitionContext};
 
@@ -336,13 +336,13 @@ impl Pruner {
 
     /// Performs one full-heap collection appropriate to the current state
     /// and advances the state machine. Returns the collection record and
-    /// the classes of finalizable objects the sweep reclaimed.
+    /// the classes of finalizable objects the sweep reclaimed. Marking uses
+    /// the collector's thread count in every state.
     pub fn collect(
         &mut self,
         heap: &mut Heap,
         roots: &RootSet,
         collector: &mut Collector,
-        marker_threads: usize,
         mutator_ran: bool,
     ) -> (GcRecord, lp_heap::FinalizeLog) {
         let state = self.state;
@@ -353,43 +353,21 @@ impl Pruner {
             None
         };
 
-        let (outcome, pruned_refs, selected) = if !self.pruning_enabled {
-            (
-                self.collect_base(heap, roots, collector, marker_threads),
-                0,
-                None,
-            )
-        } else {
-            match state {
-                State::Inactive => (
-                    self.collect_base(heap, roots, collector, marker_threads),
-                    0,
-                    None,
-                ),
-                State::Observe => {
-                    if marker_threads > 1 {
-                        let visitor = ParObserveVisitor { stale_clock };
-                        (
-                            collector.collect_parallel(heap, roots, &visitor, marker_threads),
-                            0,
-                            None,
-                        )
-                    } else {
-                        let mut visitor = ObserveVisitor { stale_clock };
-                        (collector.collect(heap, roots, &mut visitor), 0, None)
-                    }
-                }
-                State::Select => {
-                    let (outcome, info) =
-                        self.collect_select(heap, roots, collector, stale_clock, marker_threads);
-                    self.selection = info;
-                    (outcome, 0, info)
-                }
-                State::Prune => {
-                    let (outcome, pruned) =
-                        self.collect_prune(heap, roots, collector, stale_clock, marker_threads);
-                    (outcome, pruned, None)
-                }
+        let (outcome, pruned_refs, selected) = match state {
+            _ if !self.pruning_enabled => (collector.collect(heap, roots, &TraceAll), 0, None),
+            State::Inactive => (collector.collect(heap, roots, &TraceAll), 0, None),
+            State::Observe => {
+                let visitor = ObserveVisitor { stale_clock };
+                (collector.collect(heap, roots, &visitor), 0, None)
+            }
+            State::Select => {
+                let (outcome, info) = self.collect_select(heap, roots, collector, stale_clock);
+                self.selection = info;
+                (outcome, 0, info)
+            }
+            State::Prune => {
+                let (outcome, pruned) = self.collect_prune(heap, roots, collector, stale_clock);
+                (outcome, pruned, None)
             }
         };
 
@@ -450,10 +428,9 @@ impl Pruner {
         let gc_index = collector.begin_incremental(heap);
         let started = Instant::now();
         let marker = if observing {
-            let mut visitor = ObserveVisitor { stale_clock };
-            IncrementalMarker::start(heap, roots, budget, &mut visitor)
+            IncrementalMarker::start(heap, roots, budget, &ObserveVisitor { stale_clock })
         } else {
-            IncrementalMarker::start(heap, roots, budget, &mut TraceAll)
+            IncrementalMarker::start(heap, roots, budget, &TraceAll)
         };
         self.cycle = Some(IncrementalCycle {
             marker,
@@ -477,12 +454,12 @@ impl Pruner {
             .span_under(&self.cycle_span, "quantum", cycle.gc_index);
         let started = Instant::now();
         let report = if cycle.observing {
-            let mut visitor = ObserveVisitor {
+            let visitor = ObserveVisitor {
                 stale_clock: cycle.stale_clock,
             };
-            cycle.marker.quantum(heap, &mut visitor)
+            cycle.marker.quantum(heap, &visitor)
         } else {
-            cycle.marker.quantum(heap, &mut TraceAll)
+            cycle.marker.quantum(heap, &TraceAll)
         };
         let elapsed = started.elapsed();
         cycle.mark_time += elapsed;
@@ -514,12 +491,12 @@ impl Pruner {
             .span_under(&self.cycle_span, "flush", cycle.gc_index);
         let flush_started = Instant::now();
         if cycle.observing {
-            let mut visitor = ObserveVisitor {
+            let visitor = ObserveVisitor {
                 stale_clock: cycle.stale_clock,
             };
-            cycle.marker.flush(heap, roots, &mut visitor);
+            cycle.marker.flush(heap, roots, &visitor);
         } else {
-            cycle.marker.flush(heap, roots, &mut TraceAll);
+            cycle.marker.flush(heap, roots, &TraceAll);
         }
         let flush_time = flush_started.elapsed();
         drop(flush_span);
@@ -622,27 +599,12 @@ impl Pruner {
         self.state = next;
     }
 
-    fn collect_base(
-        &self,
-        heap: &mut Heap,
-        roots: &RootSet,
-        collector: &mut Collector,
-        marker_threads: usize,
-    ) -> CollectionOutcome {
-        if marker_threads > 1 {
-            collector.collect_parallel(heap, roots, &TraceAll, marker_threads)
-        } else {
-            collector.collect(heap, roots, &mut TraceAll)
-        }
-    }
-
     fn collect_select(
         &mut self,
         heap: &mut Heap,
         roots: &RootSet,
         collector: &mut Collector,
         stale_clock: Option<u64>,
-        marker_threads: usize,
     ) -> (CollectionOutcome, Option<SelectionInfo>) {
         let policy = self.policy;
         self.select_collections += 1;
@@ -660,27 +622,18 @@ impl Pruner {
         let statics = &self.statics;
         let static_only = self.select_static_only;
         let telemetry = &self.telemetry;
+        let threads = collector.threads();
         // The selection events below are emitted from inside the mark
         // closure, where the collector has already claimed this index.
         let gc_index = collector.next_gc_index();
         let _select_span = telemetry.span("select", gc_index);
         let mut info = None;
 
-        let root_handles: Vec<lp_heap::Handle> = roots.iter().collect();
         let outcome = collector.collect_with(heap, |heap| match policy {
-            // The parallel path mirrors MMTk's shared-pool trace (§4.5);
-            // only the default policy is parallelized — the comparison
-            // policies of §6.1 stay serial.
-            PredictionPolicy::LeakPruning if marker_threads > 1 => {
-                let (stats, candidates) = par_select_mark(
-                    heap,
-                    &root_handles,
-                    table,
-                    statics,
-                    stale_clock,
-                    static_only,
-                    marker_threads,
-                );
+            PredictionPolicy::LeakPruning => {
+                let mut in_use = InUseVisitor::new(stale_clock, table, statics);
+                in_use.static_only = static_only;
+                let (stats, busy, candidates) = select_mark(heap, roots, in_use, threads);
                 if let Some((edge, bytes)) = table.select_max_bytes() {
                     let signal = fold_signals(
                         candidates
@@ -692,68 +645,27 @@ impl Pruner {
                     emit_selection(telemetry, table, gc_index, edge, bytes, signal);
                 }
                 table.reset_bytes();
-                stats
-            }
-            PredictionPolicy::LeakPruning => {
-                // Phase 1: the in-use closure, deferring candidates.
-                let mut in_use = InUseVisitor::new(stale_clock, table, statics);
-                in_use.static_only = static_only;
-                let mut stats = trace(heap, roots.iter(), &mut in_use);
-
-                // Phase 2: the stale closure. Processing candidates in
-                // queue order sizes each stale data structure; subtrees
-                // already marked (in use, or claimed by an earlier
-                // candidate) charge nothing.
-                let mut stale = StaleVisitor { stale_clock };
-                for candidate in &in_use.candidates {
-                    if heap.is_marked(candidate.target.slot()) {
-                        continue;
-                    }
-                    // The root itself may have been deferred twice via two
-                    // different references; `trace` marks it exactly once.
-                    let subtree = trace(heap, [candidate.target], &mut stale);
-                    table.add_bytes(candidate.edge, subtree.bytes_marked);
-                    stats = stats.merged(subtree);
-                }
-
-                if let Some((edge, bytes)) = table.select_max_bytes() {
-                    let signal = fold_signals(
-                        in_use
-                            .candidates
-                            .iter()
-                            .filter(|c| c.edge == edge)
-                            .map(|c| c.signal),
-                    );
-                    info = Some(SelectionInfo::Edge { edge, bytes });
-                    emit_selection(telemetry, table, gc_index, edge, bytes, signal);
-                }
-                table.reset_bytes();
-                stats
+                (stats, busy)
             }
             PredictionPolicy::IndividualRefs => {
-                let mut visitor = crate::closures::IndividualRefsVisitor { stale_clock, table };
-                let stats = trace(heap, roots.iter(), &mut visitor);
+                let visitor = IndividualRefsVisitor { stale_clock, table };
+                let marked = par_trace(heap, roots.iter(), &visitor, threads);
                 if let Some((edge, bytes)) = table.select_max_bytes() {
                     info = Some(SelectionInfo::Edge { edge, bytes });
                     emit_selection(telemetry, table, gc_index, edge, bytes, Signal::Stale);
                 }
                 table.reset_bytes();
-                stats
+                marked
             }
             PredictionPolicy::MostStale => {
-                let mut visitor = MostStaleVisitor {
-                    stale_clock,
-                    max_stale: 0,
-                };
-                let stats = trace(heap, roots.iter(), &mut visitor);
-                if visitor.max_stale >= 2 {
-                    info = Some(SelectionInfo::StaleLevel(visitor.max_stale));
-                    telemetry.emit(|| Event::SelectionStale {
-                        gc_index,
-                        level: visitor.max_stale,
-                    });
+                let visitor = MostStaleVisitor::new(stale_clock);
+                let marked = par_trace(heap, roots.iter(), &visitor, threads);
+                let level = visitor.max_stale.into_inner();
+                if level >= 2 {
+                    info = Some(SelectionInfo::StaleLevel(level));
+                    telemetry.emit(|| Event::SelectionStale { gc_index, level });
                 }
-                stats
+                marked
             }
         });
 
@@ -766,38 +678,28 @@ impl Pruner {
         roots: &RootSet,
         collector: &mut Collector,
         stale_clock: Option<u64>,
-        marker_threads: usize,
     ) -> (CollectionOutcome, u64) {
         let Some(selected) = self.selection.take() else {
             // Nothing was selectable; fall back to an observing collection.
-            let mut visitor = ObserveVisitor { stale_clock };
-            return (collector.collect(heap, roots, &mut visitor), 0);
+            return (
+                collector.collect(heap, roots, &ObserveVisitor { stale_clock }),
+                0,
+            );
         };
 
         let _prune_span = self.telemetry.span("prune", collector.next_gc_index());
-        let selection: Selection = selected.selection();
-        let table = &self.table;
         // PRUNE must re-discover exactly the candidates SELECT charged, so
         // it consults the verdict table only under the default policy.
         let statics = match self.policy {
             PredictionPolicy::LeakPruning => &self.statics,
             _ => &EMPTY_VERDICTS,
         };
+        let mut visitor =
+            PruneVisitor::new(stale_clock, &self.table, statics, selected.selection());
+        visitor.static_only = self.select_static_only;
+        let outcome = collector.collect(heap, roots, &visitor);
 
-        let static_only = self.select_static_only;
-        let (outcome, pruned_map) = if marker_threads > 1 {
-            let mut visitor = ParPruneVisitor::new(stale_clock, table, statics, selection);
-            visitor.static_only = static_only;
-            let outcome = collector.collect_parallel(heap, roots, &visitor, marker_threads);
-            (outcome, visitor.into_pruned())
-        } else {
-            let mut visitor = PruneVisitor::new(stale_clock, table, statics, selection);
-            visitor.static_only = static_only;
-            let outcome =
-                collector.collect_with(heap, |heap| trace(heap, roots.iter(), &mut visitor));
-            (outcome, visitor.pruned)
-        };
-
+        let pruned_map = visitor.pruned.into_inner();
         let pruned: u64 = pruned_map.values().sum();
         for (edge, count) in &pruned_map {
             *self.pruned_census.entry(*edge).or_insert(0) += count;
@@ -938,7 +840,7 @@ mod tests {
         pruner.state = State::Select;
 
         let mut collector = Collector::new();
-        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(record.state, State::Select);
 
         let expected_bytes: u64 = [c1, ds[0], ds[1], c3, ds[2], ds[3]]
@@ -958,7 +860,7 @@ mod tests {
 
         // PRUNE: b1->c1, b3->c3 and b4->c4 are poisoned; c4's subtree
         // survives through e1 (Figure 4).
-        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(record.state, State::Prune);
         assert_eq!(record.pruned_refs, 3);
         assert!(heap.object(bs[0]).load_ref(0).is_poisoned());
@@ -1015,7 +917,7 @@ mod tests {
         pruner.state = State::Select;
 
         let mut collector = Collector::new();
-        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         match rec.selected {
             Some(SelectionInfo::Edge { edge, bytes }) => {
                 assert_eq!(edge, EdgeKey::new(registry, record));
@@ -1034,7 +936,7 @@ mod tests {
         assert_eq!(statics, ["static"], "the static signal won alone");
 
         assert_eq!(pruner.state(), State::Prune);
-        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(rec.pruned_refs, 1);
         assert!(heap.object(r1).load_ref(0).is_poisoned());
         assert!(!heap.contains(rec1), "statically dead record reclaimed");
@@ -1071,7 +973,7 @@ mod tests {
         pruner.state = State::Select;
 
         let mut collector = Collector::new();
-        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert!(matches!(rec.selected, Some(SelectionInfo::Edge { .. })));
         let statics: Vec<&'static str> = telemetry
             .recorder_snapshot()
@@ -1084,7 +986,7 @@ mod tests {
         assert_eq!(statics, ["both"]);
 
         // PRUNE poisons both candidate references of the selected edge.
-        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(rec.pruned_refs, 2);
     }
 
@@ -1113,7 +1015,7 @@ mod tests {
         pruner.state = State::Select;
 
         let mut collector = Collector::new();
-        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (rec, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert!(matches!(rec.selected, Some(SelectionInfo::Edge { .. })));
         let lines = telemetry.recorder_snapshot();
         assert!(lines
@@ -1134,7 +1036,7 @@ mod tests {
         let roots = RootSet::new();
         let mut collector = Collector::new();
         for _ in 0..3 {
-            let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+            let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
             assert_eq!(record.state, State::Select);
         }
         assert_eq!(pruner.state(), State::Select);
@@ -1148,7 +1050,7 @@ mod tests {
         let mut heap = Heap::new(64); // tiny: always "full"
         let roots = RootSet::new();
         let mut collector = Collector::new();
-        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(record.state, State::Inactive);
         assert_eq!(pruner.state(), State::Inactive);
     }
@@ -1161,7 +1063,7 @@ mod tests {
         let mut heap = Heap::new(1 << 20);
         let roots = RootSet::new();
         let mut collector = Collector::new();
-        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, 1, true);
+        let (record, _) = pruner.collect(&mut heap, &roots, &mut collector, true);
         assert_eq!(record.pruned_refs, 0);
         assert_eq!(record.state, State::Prune);
         // Empty heap: occupancy 0 -> back to OBSERVE.

@@ -174,10 +174,10 @@ impl Runtime {
     pub fn new(config: PruningConfig) -> Self {
         // Every full-heap collection — allocation-triggered, forced, and the
         // pruner's SELECT/PRUNE collections — goes through this one
-        // collector, so configuring it here plumbs the sweep parallelism
-        // everywhere.
+        // collector, so configuring it here plumbs the mark and sweep
+        // parallelism everywhere.
         let mut collector = Collector::new();
-        collector.set_sweep_threads(config.sweep_threads());
+        collector.set_threads(config.gc_threads());
         // One bus for the whole runtime: the heap (alloc/free events and the
         // collector's phase spans) and the pruner (state machine, selection)
         // hold clones, so everything lands on a single sequenced stream.
@@ -655,7 +655,7 @@ impl Runtime {
                 HeapSnapshot::capture(heap, roots, classes, gc_index, Some(pruner_view))
                     .expect("quiescent: incremental cycle closed above");
             captured = Some(capture);
-            stats
+            (stats, Vec::new())
         });
         let capture = captured.expect("mark closure ran");
         // The sweep may reclaim finalizable garbage; honour the hook just
@@ -948,7 +948,6 @@ impl Runtime {
             &mut self.heap,
             &self.roots,
             &mut self.collector,
-            self.config.marker_threads(),
             mutator_ran,
         );
         self.dispatch_finalizers(finalized);

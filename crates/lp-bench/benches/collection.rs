@@ -36,7 +36,7 @@ fn bench_collection(c: &mut Criterion) {
         let (mut heap, roots) = build_heap(64, 1024);
         let mut collector = Collector::new();
         bench.iter(|| {
-            let outcome = collector.collect(&mut heap, &roots, &mut TraceAll);
+            let outcome = collector.collect(&mut heap, &roots, &TraceAll);
             black_box(outcome.trace.objects_marked)
         });
     });
@@ -47,10 +47,13 @@ fn bench_collection(c: &mut Criterion) {
             &threads,
             |bench, &threads| {
                 let (mut heap, roots) = build_heap(64, 1024);
-                let handles: Vec<Handle> = roots.iter().collect();
                 bench.iter(|| {
                     heap.begin_mark_epoch();
-                    black_box(par_trace(&heap, &handles, &TraceAll, threads).objects_marked)
+                    black_box(
+                        par_trace(&heap, roots.iter(), &TraceAll, threads)
+                            .0
+                            .objects_marked,
+                    )
                 });
             },
         );
@@ -60,7 +63,7 @@ fn bench_collection(c: &mut Criterion) {
         let (mut heap, roots) = build_heap(64, 1024);
         bench.iter(|| {
             heap.begin_mark_epoch();
-            black_box(trace(&heap, roots.iter(), &mut TraceAll).objects_marked)
+            black_box(trace(&heap, roots.iter(), &TraceAll).objects_marked)
         });
     });
 

@@ -220,7 +220,7 @@ struct LiveGraph;
 
 impl EdgeVisitor for LiveGraph {
     fn visit_edge(
-        &mut self,
+        &self,
         _heap: &Heap,
         _src_slot: u32,
         _src: &Object,
@@ -254,7 +254,8 @@ impl HeapSnapshot {
     /// misclassify ordinary garbage.
     ///
     /// Returns the capture and the closure's [`TraceStats`], which an
-    /// enclosing `collect_with` mark callback should return.
+    /// enclosing `collect_with` mark callback should return (with no
+    /// per-thread busy times: the capture marks on the calling thread).
     ///
     /// # Errors
     ///
@@ -277,7 +278,7 @@ impl HeapSnapshot {
             });
         }
         let trace_start = Instant::now();
-        let stats = trace(heap, roots.iter(), &mut LiveGraph);
+        let stats = trace(heap, roots.iter(), &LiveGraph);
         let trace_nanos = elapsed_nanos(trace_start);
 
         let record_start = Instant::now();
@@ -1151,7 +1152,7 @@ mod tests {
                 // A real collection punches holes in the slot space, then
                 // fresh allocations recycle some of them.
                 let mut collector = Collector::new();
-                collector.collect(&mut heap, &roots, &mut TraceAll);
+                collector.collect(&mut heap, &roots, &TraceAll);
                 for &bytes in &extra_specs {
                     let _ = heap.alloc(node, &AllocSpec::leaf(bytes));
                 }

@@ -36,7 +36,7 @@
 
 use lp_heap::{Heap, RootSet};
 
-use crate::tracer::{trace, EdgeAction, EdgeVisitor, TraceStats};
+use crate::tracer::{grey, scan, trace, EdgeVisitor, TraceStats};
 
 /// What one bounded mark quantum accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,9 +60,9 @@ pub struct QuantumReport {
 ///
 /// The caller owns scheduling: it decides when to run a quantum and when to
 /// stop the world for [`IncrementalMarker::flush`]. The marker owns the
-/// grey worklist and the accumulated [`TraceStats`], and replicates the
-/// stop-the-world tracer's visitor protocol exactly — each object's fields
-/// are scanned once, [`EdgeVisitor::visit_object`] fires once per mark.
+/// grey worklist and the accumulated [`TraceStats`]; marking and scanning
+/// are the stop-the-world tracer's own steps — each object's fields are
+/// scanned once, [`EdgeVisitor::visit_object`] fires once per mark.
 #[derive(Debug)]
 pub struct IncrementalMarker {
     /// Grey objects: marked, fields not yet scanned.
@@ -89,11 +89,11 @@ impl IncrementalMarker {
     ///
     /// [`Collector::begin_incremental`]: crate::Collector::begin_incremental
     /// [`flush`]: IncrementalMarker::flush
-    pub fn start(
+    pub fn start<V: EdgeVisitor + ?Sized>(
         heap: &mut Heap,
         roots: &RootSet,
         budget: usize,
-        visitor: &mut dyn EdgeVisitor,
+        visitor: &V,
     ) -> IncrementalMarker {
         heap.satb_begin();
         let mut marker = IncrementalMarker {
@@ -112,7 +112,11 @@ impl IncrementalMarker {
 
     /// Runs one bounded quantum: drains the SATB log into the worklist,
     /// then scans up to the budget's worth of grey objects.
-    pub fn quantum(&mut self, heap: &mut Heap, visitor: &mut dyn EdgeVisitor) -> QuantumReport {
+    pub fn quantum<V: EdgeVisitor + ?Sized>(
+        &mut self,
+        heap: &mut Heap,
+        visitor: &V,
+    ) -> QuantumReport {
         let before = self.stats;
         let drained = self.drain_satb(heap, visitor);
         let mut scanned = 0usize;
@@ -120,7 +124,9 @@ impl IncrementalMarker {
             let Some(slot) = self.worklist.pop() else {
                 break;
             };
-            self.scan(heap, slot, visitor);
+            scan(heap, slot, visitor, &mut self.stats, |t| {
+                self.worklist.push(t)
+            });
             scanned += 1;
         }
         self.quanta += 1;
@@ -145,11 +151,11 @@ impl IncrementalMarker {
     /// to a full stop-the-world re-mark in a fresh epoch (staleness ticks
     /// may then be applied twice for this collection — acceptable for a
     /// path that only exists as an overflow backstop).
-    pub fn flush(
+    pub fn flush<V: EdgeVisitor + ?Sized>(
         &mut self,
         heap: &mut Heap,
         roots: &RootSet,
-        visitor: &mut dyn EdgeVisitor,
+        visitor: &V,
     ) -> bool {
         if heap.satb_overflowed() > 0 {
             // Dropped log entries mean the snapshot is incomplete and no
@@ -174,7 +180,9 @@ impl IncrementalMarker {
             self.mark_grey(heap, slot, visitor);
         }
         while let Some(slot) = self.worklist.pop() {
-            self.scan(heap, slot, visitor);
+            scan(heap, slot, visitor, &mut self.stats, |t| {
+                self.worklist.push(t)
+            });
         }
         heap.satb_end();
         false
@@ -208,7 +216,7 @@ impl IncrementalMarker {
         self.worklist.is_empty()
     }
 
-    fn drain_satb(&mut self, heap: &mut Heap, visitor: &mut dyn EdgeVisitor) -> u64 {
+    fn drain_satb<V: EdgeVisitor + ?Sized>(&mut self, heap: &mut Heap, visitor: &V) -> u64 {
         let entries = heap.satb_drain();
         let drained = entries.len() as u64;
         for slot in entries {
@@ -217,37 +225,11 @@ impl IncrementalMarker {
         drained
     }
 
-    /// Marks `slot` and queues it for scanning, exactly as the tracer's
-    /// mark step does. No-op if already marked this epoch.
-    fn mark_grey(&mut self, heap: &Heap, slot: u32, visitor: &mut dyn EdgeVisitor) {
-        if heap.try_mark(slot) {
-            let object = heap
-                .object_by_slot(slot)
-                .expect("marked slot is live: no sweep runs during a mark cycle");
-            self.stats.objects_marked += 1;
-            self.stats.bytes_marked += u64::from(object.footprint());
-            visitor.visit_object(heap, slot, object);
+    /// Marks `slot` and queues it for scanning. No-op if already marked
+    /// this epoch.
+    fn mark_grey<V: EdgeVisitor + ?Sized>(&mut self, heap: &Heap, slot: u32, visitor: &V) {
+        if grey(heap, slot, visitor, &mut self.stats) {
             self.worklist.push(slot);
-        }
-    }
-
-    /// Scans one grey object's fields, greying unmarked targets.
-    fn scan(&mut self, heap: &Heap, slot: u32, visitor: &mut dyn EdgeVisitor) {
-        let object = heap
-            .object_by_slot(slot)
-            .expect("grey slot is live: no sweep runs during a mark cycle");
-        for (field, reference) in object.iter_refs() {
-            if reference.is_null() {
-                continue;
-            }
-            self.stats.edges_visited += 1;
-            match visitor.visit_edge(heap, slot, object, field, reference) {
-                EdgeAction::Skip => {}
-                EdgeAction::Trace => {
-                    let target = reference.slot().expect("non-null reference has a slot");
-                    self.mark_grey(heap, target, visitor);
-                }
-            }
         }
     }
 }
@@ -267,9 +249,9 @@ mod tests {
     /// Drives a cycle to completion with no interleaved mutation.
     fn run_to_flush(heap: &mut Heap, roots: &RootSet, budget: usize) -> IncrementalMarker {
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(heap, roots, budget, &mut TraceAll);
-        while !marker.quantum(heap, &mut TraceAll).done {}
-        marker.flush(heap, roots, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(heap, roots, budget, &TraceAll);
+        while !marker.quantum(heap, &TraceAll).done {}
+        marker.flush(heap, roots, &TraceAll);
         marker
     }
 
@@ -309,10 +291,10 @@ mod tests {
         roots.set_static(s, prev);
 
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(&mut heap, &roots, 10, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(&mut heap, &roots, 10, &TraceAll);
         let mut quanta = 0;
         loop {
-            let report = marker.quantum(&mut heap, &mut TraceAll);
+            let report = marker.quantum(&mut heap, &TraceAll);
             assert!(report.objects <= 10, "a chain marks at most budget/quantum");
             assert!(!report.over_budget);
             quanta += 1;
@@ -323,7 +305,7 @@ mod tests {
         assert!(quanta >= 10, "100 objects / budget 10");
         assert_eq!(marker.quanta(), quanta);
         assert_eq!(marker.budget_overruns(), 0);
-        marker.flush(&mut heap, &roots, &mut TraceAll);
+        marker.flush(&mut heap, &roots, &TraceAll);
         assert_eq!(marker.stats().objects_marked, 100);
     }
 
@@ -340,14 +322,14 @@ mod tests {
         roots.set_static(s, Some(a));
 
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(&mut heap, &roots, 1, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(&mut heap, &roots, 1, &TraceAll);
         // Quantum 1 scans a, marking b grey — but model the worst case:
         // the store happens before b is scanned, and b's entry could have
         // been dropped if the log were unsound. Overwrite and log first.
         heap.satb_push(b.slot());
         heap.object(a).store_ref(0, TaggedRef::NULL);
-        while !marker.quantum(&mut heap, &mut TraceAll).done {}
-        assert!(!marker.flush(&mut heap, &roots, &mut TraceAll));
+        while !marker.quantum(&mut heap, &TraceAll).done {}
+        assert!(!marker.flush(&mut heap, &roots, &TraceAll));
         heap.sweep();
         assert!(heap.contains(b), "snapshot-reachable object swept");
     }
@@ -369,13 +351,13 @@ mod tests {
         roots.set_static(sc, Some(c));
 
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(&mut heap, &roots, 2, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(&mut heap, &roots, 2, &TraceAll);
         // One quantum scans both roots' objects... except b hides: mutate
         // before the quantum that would have scanned c's field.
         heap.object(a).store_ref(0, TaggedRef::from_handle(b));
         // a is already grey/scanned in the worst case — simulate it by
         // running the first quantum now (scans a and c in some order).
-        let first = marker.quantum(&mut heap, &mut TraceAll);
+        let first = marker.quantum(&mut heap, &TraceAll);
         // Whatever was scanned, now clear c.0 with the barrier.
         heap.satb_push(b.slot());
         heap.object(c).store_ref(0, TaggedRef::NULL);
@@ -383,8 +365,8 @@ mod tests {
         heap.satb_push(b.slot());
         heap.object(a).store_ref(0, TaggedRef::NULL);
         let _ = first;
-        while !marker.quantum(&mut heap, &mut TraceAll).done {}
-        marker.flush(&mut heap, &roots, &mut TraceAll);
+        while !marker.quantum(&mut heap, &TraceAll).done {}
+        marker.flush(&mut heap, &roots, &TraceAll);
         heap.sweep();
         assert!(heap.contains(b), "deleted-reference log must preserve b");
     }
@@ -401,15 +383,15 @@ mod tests {
         heap.sweep();
 
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(&mut heap, &roots, 8, &mut TraceAll);
-        let _ = marker.quantum(&mut heap, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(&mut heap, &roots, 8, &TraceAll);
+        let _ = marker.quantum(&mut heap, &TraceAll);
         // Allocated mid-cycle, stored into the already-scanned `a`: only
         // allocate-grey saves it (the log never saw it — nothing was
         // overwritten, a.0 was null).
         let young = heap.alloc(cls, &AllocSpec::leaf(16)).unwrap();
         heap.object(a).store_ref(0, TaggedRef::from_handle(young));
-        while !marker.quantum(&mut heap, &mut TraceAll).done {}
-        marker.flush(&mut heap, &roots, &mut TraceAll);
+        while !marker.quantum(&mut heap, &TraceAll).done {}
+        marker.flush(&mut heap, &roots, &TraceAll);
         heap.sweep();
         assert!(heap.contains(young));
     }
@@ -425,13 +407,13 @@ mod tests {
         roots.set_static(s, Some(a));
 
         heap.begin_mark_epoch();
-        let mut marker = IncrementalMarker::start(&mut heap, &roots, 4, &mut TraceAll);
+        let mut marker = IncrementalMarker::start(&mut heap, &roots, 4, &TraceAll);
         // Blow the log: every push past the cap is dropped and counted.
         for _ in 0..=lp_heap::SATB_LOG_CAP {
             heap.satb_push(b.slot());
         }
         assert!(heap.satb_overflowed() > 0);
-        assert!(marker.flush(&mut heap, &roots, &mut TraceAll));
+        assert!(marker.flush(&mut heap, &roots, &TraceAll));
         assert!(marker.degraded());
         heap.sweep();
         assert!(heap.contains(a) && heap.contains(b));
@@ -544,11 +526,11 @@ mod property_tests {
 
             heap.begin_mark_epoch();
             let mut marker =
-                IncrementalMarker::start(&mut heap, &roots, budget, &mut TraceAll);
+                IncrementalMarker::start(&mut heap, &roots, budget, &TraceAll);
             for op in &ops {
                 match op {
                     Op::Quantum => {
-                        let _ = marker.quantum(&mut heap, &mut TraceAll);
+                        let _ = marker.quantum(&mut heap, &TraceAll);
                     }
                     Op::Store { src, tgt } => {
                         let src = src % edges.len();
@@ -583,7 +565,7 @@ mod property_tests {
                     }
                 }
             }
-            prop_assert!(!marker.flush(&mut heap, &roots, &mut TraceAll));
+            prop_assert!(!marker.flush(&mut heap, &roots, &TraceAll));
 
             let total = handles.len();
             let at_flush = reachable(total, &edges, &root_idx);

@@ -11,16 +11,21 @@
 //!   and stale closures are both instances of this one primitive.
 //! * [`par_trace`] — the same closure run by multiple marker threads with
 //!   crossbeam work-stealing deques, mirroring MMTk's shared-pool parallel
-//!   trace.
+//!   trace. With one thread it is [`trace`] on the calling thread.
 //! * [`Collector`] — a mark-sweep driver that runs a closure, sweeps, and
 //!   accumulates timing statistics (used to regenerate the paper's GC
-//!   overhead figure).
+//!   overhead figure). One thread count covers its mark and its sweep.
 //! * [`collect_minor`] — nursery collections for the generational
 //!   configuration, scanning only young objects plus the remembered set.
 //! * [`IncrementalMarker`] — the same closure split into bounded quanta
 //!   interleaved with mutator work, kept sound by the heap's SATB
 //!   (snapshot-at-the-beginning) deleted-reference log and a short final
 //!   stop-the-world flush. See [`Collector::begin_incremental`].
+//!
+//! The three closures share one visitor trait and one mark step (mark,
+//! count, [`EdgeVisitor::visit_object`], then scan the fields); each keeps
+//! only its own worklist — a stack, work-stealing deques, or a budgeted
+//! grey list.
 //!
 //! # Example
 //!
@@ -42,7 +47,7 @@
 //! roots.set_static(s, Some(live));
 //!
 //! let mut collector = Collector::new();
-//! let outcome = collector.collect(&mut heap, &roots, &mut TraceAll);
+//! let outcome = collector.collect(&mut heap, &roots, &TraceAll);
 //! assert_eq!(outcome.swept.freed_objects, 1); // only `dead` is reclaimed
 //! assert!(heap.contains(live) && heap.contains(child));
 //! assert!(!heap.contains(dead));
@@ -62,7 +67,7 @@ pub mod verify;
 pub use collector::{CollectionKind, CollectionOutcome, Collector};
 pub use incremental::{IncrementalMarker, QuantumReport};
 pub use minor::collect_minor;
-pub use parallel::{par_trace, par_trace_timed, ParEdgeVisitor};
+pub use parallel::par_trace;
 pub use stats::GcStats;
 pub use tracer::{trace, EdgeAction, EdgeVisitor, TraceAll, TraceStats};
 pub use verify::{verify_post_collection, verify_post_incremental_collection};

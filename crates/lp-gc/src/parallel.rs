@@ -2,104 +2,52 @@
 //!
 //! Mirrors MMTk's parallel trace (§4.5 of the paper): marker threads share a
 //! pool of work, steal from each other to balance load, and rely on the
-//! heap's atomic mark words so each object is processed exactly once.
+//! heap's atomic mark words so each object is processed exactly once. Each
+//! worker runs the same mark and scan steps as the serial [`trace`]; only
+//! the worklist differs.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use lp_heap::{Handle, Heap, Object, TaggedRef};
-use parking_lot::Mutex;
+use lp_heap::{Handle, Heap};
 
-use crate::tracer::{EdgeAction, TraceStats};
+use crate::tracer::{grey, scan, trace, EdgeVisitor, TraceStats};
 
-/// A thread-safe [`EdgeVisitor`](crate::EdgeVisitor) counterpart for
-/// parallel marking. Implementations must be safe to call from multiple
-/// marker threads; the paper's edge-table updates tolerate races the same
-/// way (§4.5).
-pub trait ParEdgeVisitor: Sync {
-    /// Classifies one non-null reference; may rewrite the field through the
-    /// atomic `src` object.
-    fn visit_edge(
-        &self,
-        heap: &Heap,
-        src_slot: u32,
-        src: &Object,
-        field: usize,
-        reference: TaggedRef,
-    ) -> EdgeAction;
-
-    /// Called once per object when it is first marked.
-    fn visit_object(&self, heap: &Heap, slot: u32, object: &Object) {
-        let _ = (heap, slot, object);
-    }
-}
-
-/// Trace everything, in parallel. The parallel analogue of
-/// [`TraceAll`](crate::TraceAll).
-impl ParEdgeVisitor for crate::tracer::TraceAll {
-    fn visit_edge(
-        &self,
-        _heap: &Heap,
-        _src_slot: u32,
-        _src: &Object,
-        _field: usize,
-        _reference: TaggedRef,
-    ) -> EdgeAction {
-        EdgeAction::Trace
-    }
-}
-
-#[derive(Default)]
-struct SharedStats {
-    objects: AtomicU64,
-    bytes: AtomicU64,
-    edges: AtomicU64,
-}
-
-impl SharedStats {
-    fn merge(&self, local: &TraceStats) {
-        self.objects
-            .fetch_add(local.objects_marked, Ordering::Relaxed);
-        self.bytes.fetch_add(local.bytes_marked, Ordering::Relaxed);
-        self.edges.fetch_add(local.edges_visited, Ordering::Relaxed);
-    }
-}
-
-/// Runs a transitive closure from `roots` using `threads` marker threads.
+/// Runs a transitive closure from `roots` using `threads` marker threads,
+/// returning the closure's counts and each marker thread's busy time (root
+/// scanning is attributed to the calling thread and not included).
 ///
-/// Semantically identical to [`trace`](crate::trace) with the same visitor
-/// logic: every reachable object is marked exactly once and every non-null
-/// edge of a scanned object is visited once. Work distribution (and
-/// therefore edge visit order) is nondeterministic.
+/// Every reachable object is marked exactly once and every non-null edge
+/// of a scanned object is visited once, as in [`trace`]; with more than one
+/// thread the visit order is nondeterministic. One thread runs [`trace`]
+/// on the calling thread and spawns nothing.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero.
-pub fn par_trace<V: ParEdgeVisitor>(
+pub fn par_trace<V: EdgeVisitor + ?Sized>(
     heap: &Heap,
-    roots: &[Handle],
-    visitor: &V,
-    threads: usize,
-) -> TraceStats {
-    par_trace_timed(heap, roots, visitor, threads).0
-}
-
-/// [`par_trace`], additionally reporting each marker thread's busy time
-/// (root scanning is attributed to the calling thread and not included).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn par_trace_timed<V: ParEdgeVisitor>(
-    heap: &Heap,
-    roots: &[Handle],
+    roots: impl IntoIterator<Item = Handle>,
     visitor: &V,
     threads: usize,
 ) -> (TraceStats, Vec<Duration>) {
     assert!(threads > 0, "need at least one marker thread");
+    if threads == 1 {
+        let start = Instant::now();
+        let stats = trace(heap, roots, visitor);
+        return (stats, vec![start.elapsed()]);
+    }
 
     let injector: Injector<u32> = Injector::new();
+    let mut stats = TraceStats::default();
+    for root in roots {
+        debug_assert!(heap.contains(root), "root points to reclaimed object");
+        if grey(heap, root.slot(), visitor, &mut stats) {
+            injector.push(root.slot());
+        }
+    }
+
     // Termination protocol: a worker that finds no work anywhere declares
     // itself idle; the closure is complete when every worker is idle and
     // every queue is empty (work is only ever produced by non-idle
@@ -107,77 +55,56 @@ pub fn par_trace_timed<V: ParEdgeVisitor>(
     // in-flight counter would be the dominant contention point on
     // pointer-chase graphs.
     let idle_workers = AtomicUsize::new(0);
-    let stats = SharedStats::default();
-
-    let mut root_stats = TraceStats::default();
-    for root in roots {
-        let slot = root.slot();
-        debug_assert!(heap.contains(*root), "root points to reclaimed object");
-        if heap.try_mark(slot) {
-            enter_object(heap, slot, visitor, &mut root_stats);
-            injector.push(slot);
-        }
-    }
-    stats.merge(&root_stats);
-
     let workers: Vec<Worker<u32>> = (0..threads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<u32>> = workers.iter().map(Worker::stealer).collect();
 
-    // Indexed per-thread busy times, written once per worker at exit.
-    let thread_times: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; threads]);
-
-    std::thread::scope(|scope| {
-        for (index, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let idle_workers = &idle_workers;
-            let stats = &stats;
-            let thread_times = &thread_times;
-            scope.spawn(move || {
-                let start = Instant::now();
-                run_worker(
-                    heap,
-                    visitor,
-                    worker,
-                    injector,
-                    stealers,
-                    idle_workers,
-                    threads,
-                    stats,
-                );
-                thread_times.lock()[index] = start.elapsed();
-            });
-        }
+    let per_thread: Vec<(TraceStats, Duration)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|worker| {
+                let (injector, stealers, idle_workers) = (&injector, &stealers, &idle_workers);
+                scope.spawn(move || {
+                    let start = Instant::now();
+                    let local =
+                        run_worker(heap, visitor, &worker, injector, stealers, idle_workers);
+                    (local, start.elapsed())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
-    (
-        TraceStats {
-            objects_marked: stats.objects.load(Ordering::Relaxed),
-            bytes_marked: stats.bytes.load(Ordering::Relaxed),
-            edges_visited: stats.edges.load(Ordering::Relaxed),
-        },
-        thread_times.into_inner(),
-    )
+    let mut busy = Vec::with_capacity(threads);
+    for (local, elapsed) in per_thread {
+        stats = stats.merged(local);
+        busy.push(elapsed);
+    }
+    (stats, busy)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_worker<V: ParEdgeVisitor>(
+/// One marker thread: scan until every worker is idle and every queue is
+/// empty. Counts accumulate thread-locally — per-object shared-counter
+/// traffic would dominate pointer-chase graphs.
+fn run_worker<V: EdgeVisitor + ?Sized>(
     heap: &Heap,
     visitor: &V,
-    worker: Worker<u32>,
+    worker: &Worker<u32>,
     injector: &Injector<u32>,
     stealers: &[Stealer<u32>],
     idle_workers: &AtomicUsize,
-    threads: usize,
-    stats: &SharedStats,
-) {
-    // Statistics accumulate thread-locally and merge once at the end —
-    // per-object shared-counter traffic would dominate pointer-chase
-    // graphs.
+) -> TraceStats {
     let mut local = TraceStats::default();
     'work: loop {
-        if let Some(slot) = find_work(&worker, injector, stealers) {
-            scan_object(heap, slot, visitor, &worker, &mut local);
+        if let Some(slot) = find_work(worker, injector, stealers) {
+            scan(heap, slot, visitor, &mut local, |target| {
+                worker.push(target)
+            });
             continue;
         }
 
@@ -191,7 +118,7 @@ fn run_worker<V: ParEdgeVisitor>(
                 idle_workers.fetch_sub(1, Ordering::AcqRel);
                 continue 'work;
             }
-            if idle_workers.load(Ordering::Acquire) == threads {
+            if idle_workers.load(Ordering::Acquire) == stealers.len() {
                 // Every worker is idle and every queue is empty: since
                 // only non-idle workers produce work, none can appear.
                 break 'work;
@@ -204,7 +131,7 @@ fn run_worker<V: ParEdgeVisitor>(
             }
         }
     }
-    stats.merge(&local);
+    local
 }
 
 fn find_work(
@@ -236,48 +163,11 @@ fn find_work(
     None
 }
 
-fn scan_object<V: ParEdgeVisitor>(
-    heap: &Heap,
-    slot: u32,
-    visitor: &V,
-    worker: &Worker<u32>,
-    local: &mut TraceStats,
-) {
-    let object = heap
-        .object_by_slot(slot)
-        .expect("marked object disappeared during trace");
-    for (field, reference) in object.iter_refs() {
-        if reference.is_null() {
-            continue;
-        }
-        local.edges_visited += 1;
-        match visitor.visit_edge(heap, slot, object, field, reference) {
-            EdgeAction::Skip => {}
-            EdgeAction::Trace => {
-                let target = reference.slot().expect("non-null reference has a slot");
-                if heap.try_mark(target) {
-                    enter_object(heap, target, visitor, local);
-                    worker.push(target);
-                }
-            }
-        }
-    }
-}
-
-fn enter_object<V: ParEdgeVisitor>(heap: &Heap, slot: u32, visitor: &V, local: &mut TraceStats) {
-    let object = heap
-        .object_by_slot(slot)
-        .expect("traced reference points to reclaimed object");
-    local.objects_marked += 1;
-    local.bytes_marked += u64::from(object.footprint());
-    visitor.visit_object(heap, slot, object);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::{trace, TraceAll};
-    use lp_heap::{AllocSpec, ClassRegistry, Heap};
+    use crate::tracer::TraceAll;
+    use lp_heap::{AllocSpec, ClassRegistry, TaggedRef};
 
     /// Builds a wide tree so multiple threads have real work.
     fn build_tree(heap: &mut Heap, cls: lp_heap::ClassId, depth: u32, fanout: u32) -> Handle {
@@ -302,14 +192,15 @@ mod tests {
         let root = build_tree(&mut heap, cls, 6, 4);
 
         heap.begin_mark_epoch();
-        let serial = trace(&heap, [root], &mut TraceAll);
+        let serial = trace(&heap, [root], &TraceAll);
 
         heap.begin_mark_epoch();
-        let parallel = par_trace(&heap, &[root], &TraceAll, 4);
+        let (parallel, busy) = par_trace(&heap, [root], &TraceAll, 4);
 
         assert_eq!(serial.objects_marked, parallel.objects_marked);
         assert_eq!(serial.bytes_marked, parallel.bytes_marked);
         assert_eq!(serial.edges_visited, parallel.edges_visited);
+        assert_eq!(busy.len(), 4, "one busy time per marker thread");
     }
 
     #[test]
@@ -320,14 +211,15 @@ mod tests {
         let root = build_tree(&mut heap, cls, 3, 3);
 
         heap.begin_mark_epoch();
-        let stats = par_trace(&heap, &[root], &TraceAll, 1);
+        let (stats, busy) = par_trace(&heap, [root], &TraceAll, 1);
         assert!(stats.objects_marked > 1);
+        assert_eq!(busy.len(), 1);
     }
 
     #[test]
     fn empty_roots_mark_nothing() {
         let heap = Heap::new(1024);
-        let stats = par_trace(&heap, &[], &TraceAll, 2);
+        let (stats, _) = par_trace(&heap, std::iter::empty(), &TraceAll, 2);
         assert_eq!(stats.objects_marked, 0);
     }
 
@@ -344,7 +236,7 @@ mod tests {
             roots.push(r);
         }
         heap.begin_mark_epoch();
-        let stats = par_trace(&heap, &roots, &TraceAll, 4);
+        let (stats, _) = par_trace(&heap, roots, &TraceAll, 4);
         assert_eq!(stats.objects_marked, 9);
         assert_eq!(stats.edges_visited, 8);
     }

@@ -1,4 +1,4 @@
-//! The serial transitive closure.
+//! The transitive closure and the mark step every closure shares.
 
 use lp_heap::{Handle, Heap, Object, TaggedRef};
 
@@ -20,12 +20,19 @@ pub enum EdgeAction {
 /// rewrite them in place through the `&Object` it receives — this is how the
 /// collector sets the unlogged bit on every reference after a collection and
 /// how the PRUNE state poisons selected references.
-pub trait EdgeVisitor {
+///
+/// One visitor serves every closure: the serial [`trace`], the
+/// work-stealing [`par_trace`](crate::par_trace) and the
+/// [`IncrementalMarker`](crate::IncrementalMarker). It takes `&self` and is
+/// `Sync` so several marker threads can share it; state it accumulates
+/// lives behind atomics or a lock, the way the paper's edge-table updates
+/// tolerate races (§4.5).
+pub trait EdgeVisitor: Sync {
     /// Called for each non-null reference `reference` stored in field
     /// `field` of the object in `src_slot`. Returns whether to trace
     /// through it.
     fn visit_edge(
-        &mut self,
+        &self,
         heap: &Heap,
         src_slot: u32,
         src: &Object,
@@ -34,7 +41,7 @@ pub trait EdgeVisitor {
     ) -> EdgeAction;
 
     /// Called once per object when it is first marked (roots included).
-    fn visit_object(&mut self, heap: &Heap, slot: u32, object: &Object) {
+    fn visit_object(&self, heap: &Heap, slot: u32, object: &Object) {
         let _ = (heap, slot, object);
     }
 }
@@ -47,7 +54,7 @@ pub struct TraceAll;
 
 impl EdgeVisitor for TraceAll {
     fn visit_edge(
-        &mut self,
+        &self,
         _heap: &Heap,
         _src_slot: u32,
         _src: &Object,
@@ -82,8 +89,8 @@ impl TraceStats {
     }
 }
 
-/// Runs a transitive closure from `roots`, marking objects in the heap's
-/// current mark epoch. The caller must have called
+/// Runs a transitive closure from `roots` on the calling thread, marking
+/// objects in the heap's current mark epoch. The caller must have called
 /// [`Heap::begin_mark_epoch`] (directly or via [`Collector`]).
 ///
 /// Already-marked roots are skipped, so the closure composes: leak pruning
@@ -94,57 +101,72 @@ impl TraceStats {
 pub fn trace<V: EdgeVisitor + ?Sized>(
     heap: &Heap,
     roots: impl IntoIterator<Item = Handle>,
-    visitor: &mut V,
+    visitor: &V,
 ) -> TraceStats {
     let mut stats = TraceStats::default();
     let mut worklist: Vec<u32> = Vec::new();
-
     for root in roots {
-        let slot = root.slot();
         debug_assert!(heap.contains(root), "root points to reclaimed object");
-        if heap.try_mark(slot) {
-            mark_entered(heap, slot, visitor, &mut stats);
-            worklist.push(slot);
+        if grey(heap, root.slot(), visitor, &mut stats) {
+            worklist.push(root.slot());
         }
     }
-
     while let Some(slot) = worklist.pop() {
-        let object = heap
-            .object_by_slot(slot)
-            .expect("marked object disappeared during trace");
-        for (field, reference) in object.iter_refs() {
-            if reference.is_null() {
-                continue;
-            }
-            stats.edges_visited += 1;
-            match visitor.visit_edge(heap, slot, object, field, reference) {
-                EdgeAction::Skip => {}
-                EdgeAction::Trace => {
-                    let target = reference.slot().expect("non-null reference has a slot");
-                    if heap.try_mark(target) {
-                        mark_entered(heap, target, visitor, &mut stats);
-                        worklist.push(target);
-                    }
-                }
-            }
-        }
+        scan(heap, slot, visitor, &mut stats, |target| {
+            worklist.push(target)
+        });
     }
-
     stats
 }
 
-fn mark_entered<V: EdgeVisitor + ?Sized>(
+/// The mark step: marks `slot` if this epoch has not, counts it, and shows
+/// it to the visitor. Returns whether the object turned grey (marked, fields
+/// not yet scanned); the caller queues it on its own worklist.
+#[inline]
+pub(crate) fn grey<V: EdgeVisitor + ?Sized>(
     heap: &Heap,
     slot: u32,
-    visitor: &mut V,
+    visitor: &V,
     stats: &mut TraceStats,
-) {
+) -> bool {
+    if !heap.try_mark(slot) {
+        return false;
+    }
     let object = heap
         .object_by_slot(slot)
-        .expect("traced reference points to reclaimed object");
+        .expect("marked slot is live: no sweep runs during a mark");
     stats.objects_marked += 1;
     stats.bytes_marked += u64::from(object.footprint());
     visitor.visit_object(heap, slot, object);
+    true
+}
+
+/// The scan step: shows each non-null field of the grey object in `slot`
+/// to the visitor, greys what it traces, and hands each newly grey slot to
+/// `push`.
+#[inline]
+pub(crate) fn scan<V: EdgeVisitor + ?Sized>(
+    heap: &Heap,
+    slot: u32,
+    visitor: &V,
+    stats: &mut TraceStats,
+    mut push: impl FnMut(u32),
+) {
+    let object = heap
+        .object_by_slot(slot)
+        .expect("grey slot is live: no sweep runs during a mark");
+    for (field, reference) in object.iter_refs() {
+        if reference.is_null() {
+            continue;
+        }
+        stats.edges_visited += 1;
+        if visitor.visit_edge(heap, slot, object, field, reference) == EdgeAction::Trace {
+            let target = reference.slot().expect("non-null reference has a slot");
+            if grey(heap, target, visitor, stats) {
+                push(target);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -168,7 +190,7 @@ mod tests {
         heap.object(b).store_ref(0, TaggedRef::from_handle(c));
 
         heap.begin_mark_epoch();
-        let stats = trace(&heap, [a], &mut TraceAll);
+        let stats = trace(&heap, [a], &TraceAll);
         assert_eq!(stats.objects_marked, 3);
         assert_eq!(stats.edges_visited, 2);
         assert!(heap.is_marked(c.slot()));
@@ -183,7 +205,7 @@ mod tests {
         heap.object(b).store_ref(0, TaggedRef::from_handle(a));
 
         heap.begin_mark_epoch();
-        let stats = trace(&heap, [a], &mut TraceAll);
+        let stats = trace(&heap, [a], &TraceAll);
         assert_eq!(stats.objects_marked, 2);
     }
 
@@ -192,7 +214,7 @@ mod tests {
         struct SkipAll;
         impl EdgeVisitor for SkipAll {
             fn visit_edge(
-                &mut self,
+                &self,
                 _: &Heap,
                 _: u32,
                 _: &Object,
@@ -209,7 +231,7 @@ mod tests {
         heap.object(a).store_ref(0, TaggedRef::from_handle(b));
 
         heap.begin_mark_epoch();
-        let stats = trace(&heap, [a], &mut SkipAll);
+        let stats = trace(&heap, [a], &SkipAll);
         assert_eq!(stats.objects_marked, 1);
         assert!(!heap.is_marked(b.slot()));
     }
@@ -221,8 +243,8 @@ mod tests {
         let b = heap.alloc(cls, &AllocSpec::default()).unwrap();
 
         heap.begin_mark_epoch();
-        let s1 = trace(&heap, [a], &mut TraceAll);
-        let s2 = trace(&heap, [a, b], &mut TraceAll);
+        let s1 = trace(&heap, [a], &TraceAll);
+        let s2 = trace(&heap, [a, b], &TraceAll);
         assert_eq!(s1.objects_marked, 1);
         assert_eq!(s2.objects_marked, 1, "a already marked; only b is new");
         let merged = s1.merged(s2);
@@ -231,17 +253,17 @@ mod tests {
 
     #[test]
     fn visitor_sees_every_edge_once() {
-        struct Count(u64);
+        struct Count(std::sync::atomic::AtomicU64);
         impl EdgeVisitor for Count {
             fn visit_edge(
-                &mut self,
+                &self,
                 _: &Heap,
                 _: u32,
                 _: &Object,
                 _: usize,
                 _: TaggedRef,
             ) -> EdgeAction {
-                self.0 += 1;
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 EdgeAction::Trace
             }
         }
@@ -252,9 +274,13 @@ mod tests {
         heap.object(a).store_ref(1, TaggedRef::from_handle(b));
 
         heap.begin_mark_epoch();
-        let mut v = Count(0);
-        trace(&heap, [a], &mut v);
-        assert_eq!(v.0, 2, "both fields visited even though target repeats");
+        let v = Count(Default::default());
+        trace(&heap, [a], &v);
+        assert_eq!(
+            v.0.into_inner(),
+            2,
+            "both fields visited even though target repeats"
+        );
     }
 }
 
@@ -262,7 +288,8 @@ mod tests {
 mod property_tests {
     use super::*;
     use crate::parallel::par_trace;
-    use lp_heap::{AllocSpec, ClassRegistry, Heap};
+    use crate::IncrementalMarker;
+    use lp_heap::{AllocSpec, ClassRegistry, Heap, RootSet};
     use proptest::prelude::*;
 
     /// Builds a heap with `n` objects and the given edge list, returning
@@ -307,8 +334,9 @@ mod property_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// The tracer marks exactly the host-computed reachable set, and
-        /// the parallel tracer agrees with the serial one.
+        /// The serial tracer, the work-stealing tracer and the incremental
+        /// marker share one mark step: on the same graph each marks exactly
+        /// the host-computed reachable set with identical counts.
         #[test]
         fn prop_trace_matches_reference_reachability(
             n in 2usize..40,
@@ -328,22 +356,38 @@ mod property_tests {
 
             heap.begin_mark_epoch();
             let root_handles: Vec<Handle> = roots.iter().map(|i| handles[*i]).collect();
-            let serial = trace(&heap, root_handles.iter().copied(), &mut TraceAll);
+            let serial = trace(&heap, root_handles.iter().copied(), &TraceAll);
             for (i, h) in handles.iter().enumerate() {
                 prop_assert_eq!(heap.is_marked(h.slot()), expect[i], "object {}", i);
             }
 
             heap.begin_mark_epoch();
-            let parallel = par_trace(&heap, &root_handles, &TraceAll, 3);
-            prop_assert_eq!(serial.objects_marked, parallel.objects_marked);
-            prop_assert_eq!(serial.bytes_marked, parallel.bytes_marked);
+            let (parallel, _) = par_trace(&heap, root_handles.iter().copied(), &TraceAll, 3);
+            prop_assert_eq!(serial, parallel);
+            for (i, h) in handles.iter().enumerate() {
+                prop_assert_eq!(heap.is_marked(h.slot()), expect[i], "parallel object {}", i);
+            }
 
-            // And the sweep retains exactly the reachable set.
-            heap.begin_mark_epoch();
-            trace(&heap, root_handles.iter().copied(), &mut TraceAll);
+            // The sweep retains exactly the reachable set (and promotes it
+            // out of the nursery, so the incremental flush below has no
+            // allocate-grey suffix to add).
             heap.sweep();
             for (i, h) in handles.iter().enumerate() {
                 prop_assert_eq!(heap.contains(*h), expect[i], "post-sweep object {}", i);
+            }
+
+            let mut root_set = RootSet::new();
+            for h in &root_handles {
+                let s = root_set.add_static();
+                root_set.set_static(s, Some(*h));
+            }
+            heap.begin_mark_epoch();
+            let mut marker = IncrementalMarker::start(&mut heap, &root_set, 1, &TraceAll);
+            while !marker.quantum(&mut heap, &TraceAll).done {}
+            prop_assert!(!marker.flush(&mut heap, &root_set, &TraceAll));
+            prop_assert_eq!(serial, marker.stats());
+            for (i, h) in handles.iter().enumerate().filter(|(i, _)| expect[*i]) {
+                prop_assert!(heap.is_marked(h.slot()), "incremental object {}", i);
             }
         }
     }

@@ -123,7 +123,7 @@ mod tests {
 
     impl EdgeVisitor for SkipPoisoned {
         fn visit_edge(
-            &mut self,
+            &self,
             _heap: &Heap,
             _src_slot: u32,
             _src: &Object,
@@ -159,7 +159,7 @@ mod tests {
         roots.set_static(s, Some(a));
 
         heap.begin_mark_epoch();
-        trace(&heap, roots.iter(), &mut TraceAll);
+        trace(&heap, roots.iter(), &TraceAll);
         heap.sweep();
         assert_eq!(verify_post_collection(&heap, &roots), Vec::new());
         assert_eq!(heap.verify(), Vec::new());
@@ -177,7 +177,7 @@ mod tests {
 
         // A pruning collection skips the poisoned edge, so b dies.
         heap.begin_mark_epoch();
-        trace(&heap, roots.iter(), &mut SkipPoisoned);
+        trace(&heap, roots.iter(), &SkipPoisoned);
         heap.sweep();
         assert!(!heap.contains(b));
         assert_eq!(verify_post_collection(&heap, &roots), Vec::new());
@@ -192,7 +192,7 @@ mod tests {
         roots.set_static(s, Some(a));
 
         heap.begin_mark_epoch();
-        trace(&heap, roots.iter(), &mut TraceAll);
+        trace(&heap, roots.iter(), &TraceAll);
         // Spuriously mark the unreachable object so the sweep retains it.
         heap.try_mark(b.slot());
         heap.sweep();
@@ -210,7 +210,7 @@ mod tests {
         roots.set_static(s, Some(a));
 
         heap.begin_mark_epoch();
-        trace(&heap, roots.iter(), &mut TraceAll);
+        trace(&heap, roots.iter(), &TraceAll);
         heap.sweep();
         // A fresh epoch clears the marks without collecting: every survivor
         // is now live-but-unmarked, which the check must flag.
@@ -249,7 +249,7 @@ mod tests {
         // snapshot, got marked, then lost its last reference before the
         // flush — marked but unreachable.
         heap.begin_mark_epoch();
-        trace(&heap, roots.iter(), &mut TraceAll);
+        trace(&heap, roots.iter(), &TraceAll);
         heap.try_mark(float.slot());
         heap.sweep();
         assert_eq!(

@@ -186,6 +186,9 @@ pub struct RunResult {
     pub iteration_times: Series,
     /// Full-heap collections performed.
     pub gc_count: u64,
+    /// Objects marked across every full-heap collection — the exact mark
+    /// work, independent of the machine's speed.
+    pub marked_objects: u64,
     /// Minor (nursery) collections performed (generational configuration).
     pub minor_gc_count: u64,
     /// 1-based index of the first full-heap collection that poisoned
@@ -294,6 +297,7 @@ pub fn run_workload_with(
         reachable_memory: reachable,
         iteration_times,
         gc_count: rt.gc_count(),
+        marked_objects: rt.gc_stats().total_marked_objects(),
         minor_gc_count: rt.counters().minor_collections,
         first_prune_gc: rt
             .history()
