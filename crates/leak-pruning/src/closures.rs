@@ -29,14 +29,21 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use lp_gc::{par_trace, trace, EdgeAction, EdgeVisitor, TraceStats};
 use lp_heap::{Handle, Heap, Object, RootSet, TaggedRef};
-use parking_lot::Mutex;
 
 use crate::edge_table::{EdgeKey, EdgeTable};
 use crate::liveness::{Signal, StaticVerdicts};
+
+/// Locks a visitor's shared candidate queue or prune census. Each update
+/// under it is one push or one increment, so the data behind a lock a
+/// panicking marker thread poisoned is still whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A reference deferred by the in-use closure: the first reference into a
 /// stale subgraph (§4.2).
@@ -224,7 +231,7 @@ impl EdgeVisitor for InUseVisitor<'_> {
         ) {
             // Leave the reference (and its unlogged bit) in place; the PRUNE
             // collection re-discovers and poisons it if its edge is chosen.
-            self.candidates.lock().push(Candidate {
+            lock(&self.candidates).push(Candidate {
                 edge,
                 target: heap.handle_at(target_slot),
                 signal,
@@ -262,7 +269,10 @@ pub(crate) fn select_mark(
     let stale = ObserveVisitor {
         stale_clock: in_use.stale_clock,
     };
-    let candidates = in_use.candidates.into_inner();
+    let candidates = in_use
+        .candidates
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
 
     let trace_subtrees = |chunk: &[Candidate]| {
         let start = Instant::now();
@@ -411,7 +421,7 @@ impl<'a> PruneVisitor<'a> {
     /// Total references poisoned.
     #[cfg(test)]
     pub fn pruned_refs(&self) -> u64 {
-        self.pruned.lock().values().sum()
+        lock(&self.pruned).values().sum()
     }
 }
 
@@ -449,7 +459,7 @@ impl EdgeVisitor for PruneVisitor<'_> {
             // The CAS mirrors the collector's fine-grained synchronization:
             // if another marker thread rewrote the field first, defer to it.
             if src.cas_ref(field, reference, reference.with_poison()) {
-                *self.pruned.lock().entry(edge).or_insert(0) += 1;
+                *lock(&self.pruned).entry(edge).or_insert(0) += 1;
             }
             return EdgeAction::Skip;
         }
@@ -529,7 +539,7 @@ mod tests {
         let visitor = InUseVisitor::new(Some(1), &table, &EMPTY_VERDICTS);
         trace(&fx.heap, [a], &visitor);
 
-        let candidates = visitor.candidates.into_inner();
+        let candidates = visitor.candidates.into_inner().unwrap();
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].target, stale);
         assert!(!fx.heap.is_marked(stale.slot()), "candidate deferred");
@@ -556,13 +566,13 @@ mod tests {
         fx.heap.begin_mark_epoch();
         let visitor = InUseVisitor::new(Some(1), &table, &EMPTY_VERDICTS);
         trace(&fx.heap, [a], &visitor);
-        assert!(visitor.candidates.lock().is_empty());
+        assert!(lock(&visitor.candidates).is_empty());
 
         fx.heap.object(b).set_stale(4);
         fx.heap.begin_mark_epoch();
         let visitor = InUseVisitor::new(Some(2), &table, &EMPTY_VERDICTS);
         trace(&fx.heap, [a], &visitor);
-        assert_eq!(visitor.candidates.lock().len(), 1);
+        assert_eq!(lock(&visitor.candidates).len(), 1);
     }
 
     #[test]
@@ -579,7 +589,7 @@ mod tests {
         fx.heap.begin_mark_epoch();
         let visitor = InUseVisitor::new(Some(1), &table, &EMPTY_VERDICTS);
         trace(&fx.heap, [a], &visitor);
-        assert!(visitor.candidates.lock().is_empty());
+        assert!(lock(&visitor.candidates).is_empty());
     }
 
     #[test]
@@ -772,7 +782,7 @@ mod criterion_edge_cases {
             let visitor = InUseVisitor::new(Some(1), &table, &EMPTY_VERDICTS);
             trace(&heap, [a], &visitor);
             assert_eq!(
-                visitor.candidates.lock().len() == 1,
+                lock(&visitor.candidates).len() == 1,
                 expect,
                 "max_stale_use {max_stale_use}, stale {stale}"
             );
@@ -788,7 +798,7 @@ mod criterion_edge_cases {
         heap.begin_mark_epoch();
         let visitor = InUseVisitor::new(Some(1), &table, &EMPTY_VERDICTS);
         trace(&heap, [a], &visitor);
-        assert!(visitor.candidates.lock().is_empty());
+        assert!(lock(&visitor.candidates).is_empty());
     }
 
     /// The stale-level selection clamps at 2: MostStale never prunes

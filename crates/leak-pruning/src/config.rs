@@ -215,7 +215,7 @@ impl PruningConfig {
     /// Number of collector threads, for both the mark and the sweep of
     /// every stop-the-world full-heap collection — plain, OBSERVE, SELECT
     /// (under every policy) and PRUNE. With more than one, marking runs on
-    /// the parallel work-stealing tracer (§4.5) and the sweep splits the
+    /// the parallel work-packet tracer (§4.5) and the sweep splits the
     /// heap's chunks across threads; one thread (the default) marks and
     /// sweeps on the mutator's thread and spawns nothing. The parallel
     /// sweep is deterministically equivalent to the serial one; parallel

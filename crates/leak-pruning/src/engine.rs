@@ -3,6 +3,7 @@
 //! deferred out-of-memory error.
 
 use std::collections::HashMap;
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use lp_gc::{par_trace, CollectionOutcome, Collector, IncrementalMarker, QuantumReport, TraceAll};
@@ -699,7 +700,10 @@ impl Pruner {
         visitor.static_only = self.select_static_only;
         let outcome = collector.collect(heap, roots, &visitor);
 
-        let pruned_map = visitor.pruned.into_inner();
+        let pruned_map = visitor
+            .pruned
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let pruned: u64 = pruned_map.values().sum();
         for (edge, count) in &pruned_map {
             *self.pruned_census.entry(*edge).or_insert(0) += count;

@@ -82,7 +82,7 @@ mod tests {
             heap.begin_mark_epoch();
             let visitor = PruneVisitor::new(None, &table, &EMPTY_VERDICTS, Selection::Edge(edge));
             par_trace(&heap, roots, &visitor, threads);
-            let pruned = visitor.pruned.into_inner();
+            let pruned = visitor.pruned.into_inner().unwrap();
             assert_eq!(pruned.get(&edge).copied(), Some(4), "{threads} threads");
             heap.sweep();
             assert_eq!(heap.live_objects(), 1, "only the hub survives");

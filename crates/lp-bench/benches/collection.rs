@@ -1,11 +1,16 @@
-//! Criterion benchmarks for whole collections: Base vs OBSERVE vs SELECT
-//! closures (the per-GC costs behind Figure 7) and serial vs parallel
-//! marking.
+//! Benchmarks for whole collections and serial vs parallel marking over
+//! 64 chains of 1024 objects, in nanoseconds per object.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lp_bench::micro::measure;
 use lp_gc::{par_trace, trace, Collector, TraceAll};
 use lp_heap::{AllocSpec, ClassRegistry, Handle, Heap, RootSet, TaggedRef};
 use std::hint::black_box;
+
+const TRIALS: usize = 20;
+const CHAINS: u32 = 64;
+const DEPTH: u32 = 1024;
+/// Objects marked per trial.
+const OBJECTS: u64 = CHAINS as u64 * DEPTH as u64;
 
 /// Builds a heap of `chains` linked lists of `depth` nodes each.
 fn build_heap(chains: u32, depth: u32) -> (Heap, RootSet) {
@@ -28,47 +33,29 @@ fn build_heap(chains: u32, depth: u32) -> (Heap, RootSet) {
     (heap, roots)
 }
 
-fn bench_collection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("collection");
-    group.sample_size(20);
-
-    group.bench_function("mark_sweep_base_64k_objects", |bench| {
-        let (mut heap, roots) = build_heap(64, 1024);
-        let mut collector = Collector::new();
-        bench.iter(|| {
-            let outcome = collector.collect(&mut heap, &roots, &TraceAll);
-            black_box(outcome.trace.objects_marked)
-        });
-    });
+fn main() {
+    let (mut heap, roots) = build_heap(CHAINS, DEPTH);
+    let mut collector = Collector::new();
+    measure(TRIALS, OBJECTS, || {
+        let outcome = collector.collect(&mut heap, &roots, &TraceAll);
+        black_box(outcome.trace.objects_marked);
+    })
+    .print("collection/mark_sweep_base_64k_objects");
 
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel_mark_64k_objects", threads),
-            &threads,
-            |bench, &threads| {
-                let (mut heap, roots) = build_heap(64, 1024);
-                bench.iter(|| {
-                    heap.begin_mark_epoch();
-                    black_box(
-                        par_trace(&heap, roots.iter(), &TraceAll, threads)
-                            .0
-                            .objects_marked,
-                    )
-                });
-            },
-        );
+        let (mut heap, roots) = build_heap(CHAINS, DEPTH);
+        measure(TRIALS, OBJECTS, || {
+            heap.begin_mark_epoch();
+            let (stats, _) = par_trace(&heap, roots.iter(), &TraceAll, threads);
+            black_box(stats.objects_marked);
+        })
+        .print(&format!("collection/parallel_mark_64k_objects/{threads}"));
     }
 
-    group.bench_function("serial_trace_64k_objects", |bench| {
-        let (mut heap, roots) = build_heap(64, 1024);
-        bench.iter(|| {
-            heap.begin_mark_epoch();
-            black_box(trace(&heap, roots.iter(), &TraceAll).objects_marked)
-        });
-    });
-
-    group.finish();
+    let (mut heap, roots) = build_heap(CHAINS, DEPTH);
+    measure(TRIALS, OBJECTS, || {
+        heap.begin_mark_epoch();
+        black_box(trace(&heap, roots.iter(), &TraceAll).objects_marked);
+    })
+    .print("collection/serial_trace_64k_objects");
 }
-
-criterion_group!(benches, bench_collection);
-criterion_main!(benches);

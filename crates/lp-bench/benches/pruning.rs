@@ -1,12 +1,15 @@
-//! Criterion benchmarks for the pruning machinery itself: the cost of one
+//! Benchmarks for the pruning machinery itself: the cost of one
 //! OBSERVE collection, one two-phase SELECT collection, and a full
 //! SELECT+PRUNE cycle over a leaky heap — the per-collection costs that
 //! Figure 7 aggregates.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leak_pruning::{ForcedState, PruningConfig, Runtime};
+use lp_bench::micro::{measure, measure_with_setup};
 use lp_heap::AllocSpec;
 use std::hint::black_box;
+
+/// Collections (or whole cycles) timed per row, one per trial.
+const TRIALS: usize = 20;
 
 /// Builds a runtime whose heap holds `lists` stale lists of `depth` nodes
 /// each. The heap is sized so the stale lists are a substantial fraction
@@ -39,56 +42,42 @@ fn leaky_runtime(lists: u32, depth: u32, forced: Option<ForcedState>) -> Runtime
     rt
 }
 
-fn bench_pruning(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pruning");
-    group.sample_size(20);
-
+fn main() {
     for objects in [8_192u32, 32_768] {
         let lists = objects / 512;
-        group.bench_with_input(
-            BenchmarkId::new("observe_collection", objects),
-            &objects,
-            |bench, _| {
-                let mut rt = leaky_runtime(lists, 512, Some(ForcedState::Observe));
-                bench.iter(|| black_box(rt.force_gc().live_objects_after));
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("select_collection_two_phase", objects),
-            &objects,
-            |bench, _| {
-                let mut rt = leaky_runtime(lists, 512, Some(ForcedState::Select));
-                bench.iter(|| black_box(rt.force_gc().live_objects_after));
-            },
-        );
+        for (name, state) in [
+            ("observe_collection", ForcedState::Observe),
+            ("select_collection_two_phase", ForcedState::Select),
+        ] {
+            let mut rt = leaky_runtime(lists, 512, Some(state));
+            measure(TRIALS, 1, || {
+                black_box(rt.force_gc().live_objects_after);
+            })
+            .print(&format!("pruning/{name}/{objects}"));
+        }
     }
 
-    group.bench_function("full_select_prune_cycle_32k", |bench| {
-        bench.iter_with_setup(
-            || leaky_runtime(64, 512, None),
-            |mut rt| {
-                // Drive the real state machine: fill past the nearly-full
-                // threshold with transient junk until a prune happens.
-                let junk = rt.register_class("Junk");
-                for _ in 0..100_000 {
-                    if rt.prune_report().total_pruned_refs > 0 {
-                        break;
-                    }
-                    rt.alloc(junk, &AllocSpec::leaf(16 * 1024)).expect("junk");
-                    rt.release_registers();
+    measure_with_setup(
+        TRIALS,
+        1,
+        |_| leaky_runtime(64, 512, None),
+        |mut rt| {
+            // Drive the real state machine: fill past the nearly-full
+            // threshold with transient junk until a prune happens.
+            let junk = rt.register_class("Junk");
+            for _ in 0..100_000 {
+                if rt.prune_report().total_pruned_refs > 0 {
+                    break;
                 }
-                assert!(
-                    rt.prune_report().total_pruned_refs > 0,
-                    "prune never engaged"
-                );
-                black_box(rt.prune_report().total_pruned_refs)
-            },
-        );
-    });
-
-    group.finish();
+                rt.alloc(junk, &AllocSpec::leaf(16 * 1024)).expect("junk");
+                rt.release_registers();
+            }
+            assert!(
+                rt.prune_report().total_pruned_refs > 0,
+                "prune never engaged"
+            );
+            black_box(rt.prune_report().total_pruned_refs);
+        },
+    )
+    .print("pruning/full_select_prune_cycle_32k");
 }
-
-criterion_group!(benches, bench_pruning);
-criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Criterion benchmarks for the sweep phase: serial vs parallel chunked
-//! sweep across a live-fraction × heap-size × thread-count grid.
+//! Benchmarks for the sweep phase: serial vs parallel chunked sweep across
+//! a live-fraction × heap-size × thread-count grid, in nanoseconds per
+//! slot.
 //!
 //! The sweep is the half of the stop-the-world pause that scales with heap
 //! *capacity* rather than live data, so this is where the chunked heap and
@@ -13,7 +14,7 @@
 //! * **threads** — 1 is the serial baseline (`sweep_parallel(1)` *is*
 //!   `sweep()`), then 2/4/8.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lp_bench::micro::measure_with_setup;
 use lp_heap::{AllocSpec, ClassRegistry, Heap};
 use std::hint::black_box;
 
@@ -38,30 +39,20 @@ fn marked_heap(objects: u32, live_pct: u32) -> Heap {
     heap
 }
 
-fn bench_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sweep");
-    group.sample_size(15);
-
-    for &objects in &[32_768u32, 131_072] {
-        for &live_pct in &[10u32, 50, 90] {
-            for &threads in &[1usize, 2, 4, 8] {
-                let name = format!("objs{objects}_live{live_pct}");
-                let id = BenchmarkId::new(&name, threads);
-                group.bench_with_input(id, &threads, |bench, &threads| {
-                    bench.iter_with_setup(
-                        || marked_heap(objects, live_pct),
-                        |mut heap| {
-                            let outcome = heap.sweep_parallel(threads);
-                            black_box(outcome.freed_objects)
-                        },
-                    );
-                });
+fn main() {
+    for objects in [32_768u32, 131_072] {
+        for live_pct in [10u32, 50, 90] {
+            for threads in [1usize, 2, 4, 8] {
+                measure_with_setup(
+                    15,
+                    u64::from(objects),
+                    |_| marked_heap(objects, live_pct),
+                    |mut heap| {
+                        black_box(heap.sweep_parallel(threads).freed_objects);
+                    },
+                )
+                .print(&format!("sweep/objs{objects}_live{live_pct}/{threads}"));
             }
         }
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_sweep);
-criterion_main!(benches);

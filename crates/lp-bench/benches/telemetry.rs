@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks for the telemetry bus (the tentpole's
+//! Micro-benchmarks for the telemetry bus (the tentpole's
 //! "measured, not assumed" requirement).
 //!
 //! Measures the disabled-bus emission path (one relaxed atomic load and a
@@ -13,51 +13,34 @@
 //! `disabled-emit ns × emission attempts per iteration`, both measured,
 //! relative to the measured iteration time. Methodology in DESIGN.md.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use leak_pruning::{BarrierMode, ForcedState, PruningConfig, Runtime};
+use lp_bench::micro::measure;
 use lp_heap::AllocSpec;
 use lp_telemetry::{Event, JsonlSink, Telemetry};
 
-fn bench_emission(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry");
+/// Emissions per trial.
+const OPS: u64 = 10_000;
 
-    group.bench_function("disabled_emit", |bench| {
-        let bus = Telemetry::new();
-        let mut i = 0u64;
-        bench.iter(|| {
-            i += 1;
-            bus.emit(|| Event::Iteration {
-                index: black_box(i),
-            });
-        });
-    });
-
-    group.bench_function("ring_emit", |bench| {
-        let bus = Telemetry::with_recorder(1024);
-        let mut i = 0u64;
-        bench.iter(|| {
-            i += 1;
-            bus.emit(|| Event::Iteration {
-                index: black_box(i),
-            });
-        });
-    });
-
-    group.bench_function("jsonl_emit", |bench| {
-        let bus = Telemetry::new();
-        bus.add_sink(Box::new(JsonlSink::new(std::io::sink())));
-        let mut i = 0u64;
-        bench.iter(|| {
-            i += 1;
-            bus.emit(|| Event::Iteration {
-                index: black_box(i),
-            });
-        });
-    });
-
-    group.finish();
+fn bench_emission() {
+    let jsonl = Telemetry::new();
+    jsonl.add_sink(Box::new(JsonlSink::new(std::io::sink())));
+    for (name, bus) in [
+        ("disabled_emit", Telemetry::new()),
+        ("ring_emit", Telemetry::with_recorder(1024)),
+        ("jsonl_emit", jsonl),
+    ] {
+        measure(40, OPS, || {
+            for i in 0..OPS {
+                bus.emit(|| Event::Iteration {
+                    index: black_box(i),
+                });
+            }
+        })
+        .print(&format!("telemetry/{name}"));
+    }
 }
 
 /// One barrier-heavy unit of application work: an allocation (the hot
@@ -90,7 +73,7 @@ fn fig6_runtime() -> (Runtime, lp_heap::Handle, lp_heap::ClassId) {
     (rt, a, scratch)
 }
 
-fn overhead_csv(_c: &mut Criterion) {
+fn overhead_csv() {
     const EMITS: u64 = 4_000_000;
     const ITERS: u64 = 200_000;
 
@@ -140,5 +123,7 @@ fn overhead_csv(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_emission, overhead_csv);
-criterion_main!(benches);
+fn main() {
+    bench_emission();
+    overhead_csv();
+}

@@ -1,13 +1,13 @@
 //! A tiny fixed-iteration micro-measurement harness.
 //!
-//! The Criterion shim drives whole benchmark binaries; the barrier
-//! microbenchmarks need something smaller: time a closure that performs a
-//! *fixed* number of operations, repeat it for a fixed number of trials,
-//! and report robust statistics (min, median, median absolute deviation)
-//! in nanoseconds per operation. Fixed iteration counts keep two
-//! configurations directly comparable — every trial does identical work —
-//! and min/median/MAD are insensitive to the occasional scheduler blip
-//! that would wreck a mean/σ summary.
+//! Every micro-measurement in this crate — the `microbench` binary and the
+//! `cargo bench -p lp-bench` targets under `benches/` — times a closure
+//! that performs a *fixed* number of operations, repeats it for a fixed
+//! number of trials, and reports robust statistics (min, median, median
+//! absolute deviation) in nanoseconds per operation. Fixed iteration counts
+//! keep two configurations directly comparable — every trial does
+//! identical work — and min/median/MAD are insensitive to the occasional
+//! scheduler blip that would wreck a mean/σ summary.
 
 use std::time::Instant;
 
@@ -33,6 +33,15 @@ impl MicroStats {
             "{name},{},{},{:.2},{:.2},{:.2}",
             self.ops_per_trial, self.trials, self.min_ns, self.median_ns, self.mad_ns
         )
+    }
+
+    /// Prints one console row: `name: min … median … MAD … ns/op`, with
+    /// the trial shape.
+    pub fn print(&self, name: &str) {
+        println!(
+            "{name}: min {:.2} median {:.2} MAD {:.2} ns/op ({} trials x {} ops)",
+            self.min_ns, self.median_ns, self.mad_ns, self.trials, self.ops_per_trial
+        );
     }
 }
 

@@ -9,8 +9,8 @@
 //!   (trace through it, or skip it) and may rewrite the field word (to set
 //!   the unlogged bit, or to poison the reference). Leak pruning's in-use
 //!   and stale closures are both instances of this one primitive.
-//! * [`par_trace`] — the same closure run by multiple marker threads with
-//!   crossbeam work-stealing deques, mirroring MMTk's shared-pool parallel
+//! * [`par_trace`] — the same closure run by multiple marker threads that
+//!   share a pool of work packets, mirroring MMTk's shared-pool parallel
 //!   trace. With one thread it is [`trace`] on the calling thread.
 //! * [`Collector`] — a mark-sweep driver that runs a closure, sweeps, and
 //!   accumulates timing statistics (used to regenerate the paper's GC
@@ -24,8 +24,8 @@
 //!
 //! The three closures share one visitor trait and one mark step (mark,
 //! count, [`EdgeVisitor::visit_object`], then scan the fields); each keeps
-//! only its own worklist — a stack, work-stealing deques, or a budgeted
-//! grey list.
+//! only its own worklist — a stack, per-thread stacks sharing a pool of
+//! work packets, or a budgeted grey list.
 //!
 //! # Example
 //!

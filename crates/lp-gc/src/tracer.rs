@@ -22,7 +22,7 @@ pub enum EdgeAction {
 /// how the PRUNE state poisons selected references.
 ///
 /// One visitor serves every closure: the serial [`trace`], the
-/// work-stealing [`par_trace`](crate::par_trace) and the
+/// work-packet [`par_trace`](crate::par_trace) and the
 /// [`IncrementalMarker`](crate::IncrementalMarker). It takes `&self` and is
 /// `Sync` so several marker threads can share it; state it accumulates
 /// lives behind atomics or a lock, the way the paper's edge-table updates
@@ -334,7 +334,7 @@ mod property_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// The serial tracer, the work-stealing tracer and the incremental
+        /// The serial tracer, the work-packet tracer and the incremental
         /// marker share one mark step: on the same graph each marks exactly
         /// the host-computed reachable set with identical counts.
         #[test]

@@ -128,8 +128,8 @@ fn edge_table_census_survives_decay() {
 
 #[test]
 fn parallel_marking_tolerates_leaks_like_serial() {
-    // §4.5: one visitor per state runs on one marker thread or on four, and
-    // every policy must tolerate each leak the same way either way. Each cap
+    // §4.5: one visitor per state runs on one marker thread or on several,
+    // and every policy must tolerate each leak the same way either way. Each cap
     // is the fewest iterations at which the leak prunes under every policy,
     // keeping the table fast in a debug build (which verifies the heap after
     // every collection).
@@ -175,14 +175,22 @@ fn parallel_marking_tolerates_leaks_like_serial() {
             PredictionPolicy::MostStale,
         ] {
             let serial = run(name, cap, policy, 1);
-            let parallel = run(name, cap, policy, 4);
-            let context = format!("{name} under {policy:?}: one marker thread vs four");
-            assert!(serial.4.is_some(), "{context}: one thread never pruned");
-            assert!(parallel.4.is_some(), "{context}: four threads never pruned");
-            assert_eq!(serial.1, parallel.1, "{context}: termination");
-            if name == "ListLeak" {
-                assert_eq!(serial.1, Termination::ReachedCap, "{context}");
-                assert_eq!(serial, parallel, "{context}");
+            assert!(
+                serial.4.is_some(),
+                "{name} under {policy:?}: one thread never pruned"
+            );
+            // ListLeak also runs on two and eight threads: its exact
+            // agreement is what checks the parallel worklist end to end.
+            let thread_counts: &[usize] = if name == "ListLeak" { &[2, 4, 8] } else { &[4] };
+            for &threads in thread_counts {
+                let parallel = run(name, cap, policy, threads);
+                let context = format!("{name} under {policy:?}: one marker thread vs {threads}");
+                assert!(parallel.4.is_some(), "{context}: never pruned");
+                assert_eq!(serial.1, parallel.1, "{context}: termination");
+                if name == "ListLeak" {
+                    assert_eq!(serial.1, Termination::ReachedCap, "{context}");
+                    assert_eq!(serial, parallel, "{context}");
+                }
             }
         }
     }
